@@ -234,6 +234,8 @@ def cmd_random_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     strategy = parse_strategy(args.strategy)
     spec, description = _spec_from_flags(args, strategy)
+    if args.reps < 2:
+        raise UsageError(f"--reps must be >= 2 to give a standard error, got {args.reps}")
     seed = _seed_from_flags(args)
     config = SimConfig(coups=args.coups, replications=args.reps, master_seed=seed)
     result = replicate(spec, config, workers=args.workers)

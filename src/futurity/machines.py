@@ -8,6 +8,7 @@ futurity streak.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -28,8 +29,8 @@ class TwoPointArm:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"win probability must lie in [0, 1], got {self.p!r}")
-        if self.u < 0.0:
-            raise DomainError(f"payout must be nonnegative, got {self.u!r}")
+        if not 0.0 <= self.u < math.inf:
+            raise DomainError(f"payout must be finite and nonnegative, got {self.u!r}")
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,15 @@ class TestSimulate:
         assert summary["oracle_value"] < 0.0
         assert abs(summary["z_score"]) < 6.0
 
+    def test_single_replication_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100", "--reps", "1", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "--reps" in err
+        assert out == ""
+
     def test_missing_probs_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--strategy", "AB", "--coups", "100", "--reps", "2",
@@ -254,6 +263,35 @@ class TestTrajectory:
         )
         _, rows = csv_rows(out_path.read_text(encoding="utf-8"))
         assert len(rows) == 1
+
+    def test_stride_above_coups_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "none.csv"
+        code, _, err = run_cli(
+            capsys, "trajectory", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100", "--stride", "1000", "--seed", "9", "--out", str(out_path),
+        )
+        assert code == 2
+        assert "exceeds" in err
+        assert not out_path.exists()
+
+
+class TestBadSeeds:
+    RUN_FLAGS = {
+        "simulate": ["--coups", "100", "--reps", "4"],
+        "trajectory": ["--coups", "100", "--stride", "10"],
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "trajectory"])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, command):
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            *self.RUN_FLAGS[command], "--seed", "-5", "--out", str(out_path),
+        )
+        assert code == 2
+        assert "seed" in err
+        assert out == ""
+        assert not out_path.exists()
 
 
 class TestMachineInfo:

@@ -117,6 +117,9 @@ class TestDistributionValidation:
             TwoPointArm(1.5, 1.0)
         with pytest.raises(DomainError):
             TwoPointArm(0.5, -1.0)
+        for payout in (float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                TwoPointArm(0.5, payout)
 
 
 class TestMachineFiles:

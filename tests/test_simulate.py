@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from futurity import (
     cumulative_trajectory,
     derive_seed,
     fair_chain,
+    fair_payout,
     mills_modes,
     mixture_chain,
     oracle_profit,
@@ -24,6 +26,7 @@ from futurity import (
     simulate_once,
     single_arm_chain,
 )
+from futurity import simulate
 
 PROBS = ArmProbabilities(0.3, 0.7)
 
@@ -135,6 +138,101 @@ class TestAgainstScalarReference:
             assert value == pytest.approx(reference[int(coup) - 1], abs=1e-9)
 
 
+def mixture_reference(gamma, probs, coups, seed, j):
+    """A mixture run drawn in one block, all arm picks and then all outcomes.
+
+    Returns the win count, the per-coup payouts and the award count, the
+    awards walked coup by coup.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pick_a = rng.random(coups) < gamma
+    uniforms = rng.random(coups)
+    win = uniforms < np.where(pick_a, probs.p_a, probs.p_b)
+    payout = np.where(win, np.where(pick_a, fair_payout(probs.p_a), fair_payout(probs.p_b)), 0.0)
+    streak = awards = 0
+    for won in win:
+        streak = 0 if won else streak + 1
+        if streak == j:
+            awards += 1
+            streak = 0
+    return int(win.sum()), payout, awards
+
+
+class TestChunkBoundaries:
+    """Runs cut into many chunks, checked against whole-run references.
+
+    The chunk shrinks to 1000 coups, which is not a multiple of the pattern
+    length 3. Win probabilities near 0.1 with J = 3 make loss runs, and the
+    awards inside them, cross chunk boundaries.
+    """
+
+    CHUNK = 1000
+    COUPS = 7_919
+    LOW = ArmProbabilities(0.08, 0.15)
+
+    def test_two_point(self, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        spec = fair_chain(parse_strategy("ABB"), self.LOW, j=3)
+        for seed in (1, 77, 2024):
+            ledger = simulate_once(spec, self.COUPS, seed)
+            wins, payouts, awards, _ = scalar_reference(spec, self.COUPS, seed)
+            assert (ledger.win_count, ledger.futurity_events) == (wins, awards)
+            assert ledger.win_payouts == pytest.approx(payouts, rel=1e-12)
+
+    def test_multipoint(self, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        mode_e, mode_o = mills_modes()  # mode E wins 3.2% of coups
+        spec = ChainSpec(sequence=("E", "E", "O"), arms={"E": mode_e, "O": mode_o}, j=3)
+        for seed in (5, 606):
+            ledger = simulate_once(spec, self.COUPS, seed)
+            wins, payouts, awards, _ = scalar_reference(spec, self.COUPS, seed)
+            assert (ledger.win_count, ledger.futurity_events) == (wins, awards)
+            assert ledger.win_payouts == pytest.approx(payouts, rel=1e-12)
+
+    def test_trajectories(self, monkeypatch):
+        mode_e, mode_o = mills_modes()
+        specs = [
+            fair_chain(parse_strategy("ABB"), self.LOW, j=3),
+            ChainSpec(sequence=("E", "E", "O"), arms={"E": mode_e, "O": mode_o}, j=3),
+        ]
+        whole = [cumulative_trajectory(spec, self.COUPS, 99, stride=7) for spec in specs]
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        for spec, expected in zip(specs, whole):
+            chunked = cumulative_trajectory(spec, self.COUPS, 99, stride=7)
+            # the running sum is sequential, so chunking leaves every bit in place
+            assert np.array_equal(chunked, expected)
+            reference = np.cumsum(scalar_reference(spec, self.COUPS, 99)[3])
+            assert np.allclose(chunked[:, 1], reference[chunked[:, 0].astype(int) - 1], rtol=0, atol=1e-9)
+
+    def test_mixture_stream(self, monkeypatch):
+        coups, seed, gamma = self.COUPS, 31, 0.4
+        wins, payout, awards = mixture_reference(gamma, self.LOW, coups, seed, j=3)
+        whole = simulate_mixture_once(gamma, self.LOW, coups, seed, j=3)
+        assert (whole.win_count, whole.futurity_events) == (wins, awards)
+        assert whole.win_payouts == float(payout.sum())  # one chunk: the same sum
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        chunked = simulate_mixture_once(gamma, self.LOW, coups, seed, j=3)
+        assert (chunked.win_count, chunked.futurity_events) == (wins, awards)
+        assert chunked.win_payouts == pytest.approx(whole.win_payouts, rel=1e-12)
+
+    def test_trajectory_memory_does_not_grow_with_coups(self):
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+
+        def peak(coups):
+            tracemalloc.start()
+            try:
+                cumulative_trajectory(spec, coups, 5, stride=simulate.CHUNK)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(simulate.CHUNK)  # this thread's buffer is allocated once, here
+        small, large = peak(4 * simulate.CHUNK), peak(16 * simulate.CHUNK)
+        assert large < 1.25 * small
+        # far below one float per coup of the longer run
+        assert large < 8 * 16 * simulate.CHUNK / 4
+
+
 class TestDegenerateArms:
     def test_always_win(self):
         spec = single_arm_chain(1.0, u=1.25)
@@ -194,6 +292,10 @@ class TestTrajectory:
         spec = fair_chain(parse_strategy("AB"), PROBS)
         with pytest.raises(DomainError):
             cumulative_trajectory(spec, 100, 3, stride=0)
+        with pytest.raises(DomainError, match="exceeds"):
+            cumulative_trajectory(spec, 100, 3, stride=101)
+        with pytest.raises(DomainError, match="integer"):
+            cumulative_trajectory(spec, 100, 3, stride=2.5)
 
 
 def assert_statistically_close(grand_mean, oracle, standard_error, context):
@@ -266,21 +368,31 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             SimConfig(replications=0)
         with pytest.raises(DomainError):
-            SimConfig(trajectory_stride=0)
-        with pytest.raises(DomainError):
             simulate_once(fair_chain(parse_strategy("AB"), PROBS), 0, 1)
 
-    def test_replicate_with_trajectory(self):
+    def test_counts_must_be_integers(self):
+        with pytest.raises(DomainError, match="integer"):
+            SimConfig(coups=1.5)
+        with pytest.raises(DomainError, match="integer"):
+            SimConfig(replications=2.0)
+        with pytest.raises(DomainError, match="integer"):
+            simulate_once(fair_chain(parse_strategy("AB"), PROBS), 100.0, 1)
+
+    def test_seed_range(self):
         spec = fair_chain(parse_strategy("AB"), PROBS)
-        config = SimConfig(
-            coups=1000, replications=8, master_seed=3, record_trajectory=True, trajectory_stride=250
-        )
-        result = replicate(spec, config)
-        assert result.trajectory is not None
-        assert result.trajectory.shape == (4, 2)
-        # trajectory belongs to replication 0
-        ledger = simulate_once(spec, 1000, derive_seed(3, 0))
-        assert result.trajectory[-1, 1] == pytest.approx(ledger.casino_profit_total, abs=1e-9)
+        for seed in (-5, 2**64, 0.5):
+            with pytest.raises(DomainError, match="seed"):
+                SimConfig(master_seed=seed)
+            with pytest.raises(DomainError, match="seed"):
+                simulate_once(spec, 100, seed)
+            with pytest.raises(DomainError, match="seed"):
+                cumulative_trajectory(spec, 100, seed, stride=10)
+            with pytest.raises(DomainError, match="seed"):
+                simulate_mixture_once(0.5, PROBS, 100, seed)
+        # numpy integers are normalised, so seed derivation stays in Python ints
+        config = SimConfig(master_seed=np.int64(2**62))
+        assert type(config.master_seed) is int
+        assert SimConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
     def test_grand_mean_is_average_of_rep_means(self):
         spec = fair_chain(parse_strategy("AB"), PROBS)
