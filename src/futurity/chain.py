@@ -20,13 +20,14 @@ stationary mass zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, SolverFailure
-from .formulas import ArmProbabilities, fair_payout
+from .formulas import ArmProbabilities, _check_gamma, fair_payout
 from .machines import ArmModel, TwoPointArm, expected_payout, win_probability
 from .strategy import Strategy
 
@@ -43,19 +44,17 @@ class ChainSpec:
     sequence: tuple[str, ...]
     arms: Mapping[str, ArmModel]
     j: int = 2
-    stake: float = 1.0
 
     def __post_init__(self):
         if not self.sequence:
             raise DomainError("chain sequence is empty")
-        if int(self.j) != self.j or self.j < 2:
-            raise DomainError(f"futurity threshold must be an integer >= 2, got {self.j!r}")
-        object.__setattr__(self, "j", int(self.j))
+        j = self.j
+        if not (isinstance(j, numbers.Real) and math.isfinite(j) and int(j) == j >= 2):
+            raise DomainError(f"futurity threshold must be an integer >= 2, got {j!r}")
+        object.__setattr__(self, "j", int(j))
         missing = sorted(set(self.sequence) - set(self.arms))
         if missing:
             raise DomainError(f"sequence uses arms with no payoff model: {missing}")
-        if self.stake != 1.0:
-            raise DomainError("stake is fixed at 1 coin per coup")
 
     @property
     def n(self) -> int:
@@ -74,7 +73,7 @@ class ChainSolution:
 
     `stationary` is indexed by position*J + streak, matching build_chain's
     state order. `futurity_rate` is the per-coup probability of an award;
-    `casino_profit` is stake minus player_return.
+    `casino_profit` is the 1-coin stake minus player_return.
     """
 
     stationary: np.ndarray
@@ -182,11 +181,11 @@ def _streak_distributions(p_seq: list[float], j: int) -> tuple[list[list[float]]
     for q in q_seq:
         loss_product *= q
 
+    g = math.gcd(n, j)
     if loss_product == 1.0:
         # Every coup loses: the walk from (position 0, streak 0) visits
         # (t mod n, t mod J) deterministically, so streaks at position i are
-        # uniform over the residues congruent to i modulo gcd(n, J).
-        g = math.gcd(n, j)
+        # uniform over the residues congruent to i modulo g.
         dists = []
         for i in range(n):
             w = [g / j if c % g == i % g else 0.0 for c in range(j)]
@@ -203,20 +202,11 @@ def _streak_distributions(p_seq: list[float], j: int) -> tuple[list[list[float]]
         zero_image = advance(zero_image, i)
 
     # Fixed point: w(c) = G * w((c - n) mod J) + d(c), solved cycle by cycle.
-    shift = n % j
+    # The cycles of c -> c - n (mod J) are the residue classes modulo g.
+    length = j // g
     w0 = [0.0] * j
-    visited = [False] * j
-    for start in range(j):
-        if visited[start]:
-            continue
-        cycle = [start]
-        visited[start] = True
-        c = (start - shift) % j
-        while c != start:
-            cycle.append(c)
-            visited[c] = True
-            c = (c - shift) % j
-        length = len(cycle)
+    for start in range(g):
+        cycle = [(start - k * n) % j for k in range(length)]
         acc = 0.0
         power = 1.0
         for c in cycle:
@@ -270,15 +260,10 @@ def oracle_profit(spec: ChainSpec, method: str = "recurrence") -> ChainSolution:
     return ChainSolution(
         stationary=pi,
         futurity_rate=float(rate),
-        casino_profit=spec.stake - player_return,
+        casino_profit=1.0 - player_return,
         player_return=float(player_return),
         residual=residual,
     )
-
-
-def fair_strategy_profit(strategy: Strategy, probs: ArmProbabilities, j: int = 2) -> float:
-    """Casino profit per coup for a pattern over fair-calibrated arms."""
-    return oracle_profit(fair_chain(strategy, probs, j=j)).casino_profit
 
 
 def mixture_chain(gamma: float, probs: ArmProbabilities, j: int = 2) -> ChainSpec:
@@ -288,8 +273,7 @@ def mixture_chain(gamma: float, probs: ArmProbabilities, j: int = 2) -> ChainSpe
     to one arm whose win probability and expected payout are the gamma-blends
     of the two fair-calibrated arms.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
+    gamma = _check_gamma(gamma)
     p_mix = gamma * probs.p_a + (1.0 - gamma) * probs.p_b
     blended_payout = gamma * probs.p_a * fair_payout(probs.p_a) + (1.0 - gamma) * probs.p_b * fair_payout(probs.p_b)
     u_mix = blended_payout / p_mix

@@ -63,14 +63,14 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_as_json(header: list[str], rows: list[list[str]]) -> str:
-    objects = [dict(zip(header, row)) for row in rows]
-    return json.dumps(objects, indent=2) + "\n"
+def _json(payload) -> str:
+    """Indented JSON that strict parsers accept: NaN and inf are refused."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _emit_rows(args, header: list[str], rows: list[list[str]]) -> None:
     if args.format == "json":
-        _write_text(args.out, _rows_as_json(header, rows))
+        _write_text(args.out, _json([dict(zip(header, row)) for row in rows]))
     else:
         _write_text(args.out, _csv(header, rows))
 
@@ -154,7 +154,7 @@ def cmd_exact(args) -> int:
         }
         if args.paper_sign:
             payload["profit_uncorrected_sign"] = -report.profit
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json(payload))
     else:
         print(f"strategy   {strategy.text()} (canonical {canonical_rotation(strategy).text()})")
         print(f"p_a, p_b   {_fmt(probs.p_a)}, {_fmt(probs.p_b)}")
@@ -243,7 +243,7 @@ def cmd_simulate(args) -> int:
     z_score = (
         (result.grand_mean - oracle) / result.standard_error
         if result.standard_error > 0.0
-        else float("nan")
+        else None
     )
 
     header = ["replication", "mean_profit"]
@@ -265,7 +265,7 @@ def cmd_simulate(args) -> int:
         "oracle_value": oracle,
         "z_score": z_score,
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    sys.stdout.write(_json(summary))
     return 0
 
 
@@ -321,7 +321,7 @@ def cmd_machine_info(args) -> int:
     ]
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION, "source": source, "j": args.j, "modes": reports}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json(payload))
     else:
         print(f"machine: {source} (J={args.j})")
         for report in reports:

@@ -27,6 +27,13 @@ from .strategy import BlockVector, Strategy, block_vector, canonical_rotation
 CLOSED_FORM_J = 2
 
 
+def _check_gamma(gamma: float) -> float:
+    gamma = float(gamma)
+    if not 0.0 <= gamma <= 1.0:
+        raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
+    return gamma
+
+
 def _check_probability(name: str, p: float) -> float:
     p = float(p)
     # q == 1.0 would zero the geometric denominators, so p must stay above
@@ -177,8 +184,6 @@ def ars_profit(r: int, s: int, probs: ArmProbabilities) -> float:
     Special case 2*S*(1 - (-q_a)^r)*(1 - (-q_b)^s), equal to exact_profit of
     the same pattern.
     """
-    if r < 1 or s < 1:
-        raise DomainError(f"play counts must be >= 1, got r={r}, s={s}")
     return (
         2.0
         * s_factor(r, s, probs)
@@ -297,9 +302,7 @@ def random_mix_profit(gamma: float, probs: ArmProbabilities) -> float:
 
     Nonnegative; zero when gamma is 0 or 1 or the arms coincide.
     """
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
+    gamma = _check_gamma(gamma)
     q_mix = gamma * probs.q_a + (1.0 - gamma) * probs.q_b
     return (
         gamma * futurity_refund_per_coup(probs.q_a)

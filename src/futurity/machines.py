@@ -37,8 +37,8 @@ class TwoPointArm:
 class MultipointDistribution:
     """Reward distribution as (reward, probability) entries.
 
-    Probabilities must sum to 1 within 1e-12; rewards must be distinct and
-    nonnegative with at most one zero-reward entry. Zero-probability entries
+    Probabilities must sum to 1 within 1e-12; rewards must be distinct,
+    finite and nonnegative with at most one zero-reward entry. Zero-probability entries
     are legal and preserved, so source tables round-trip unchanged.
     """
 
@@ -51,6 +51,8 @@ class MultipointDistribution:
         rewards = set()
         zero_rewards = 0
         for reward, prob in self.entries:
+            if not math.isfinite(reward):
+                raise InvalidDistribution(f"non-finite reward {reward!r}")
             if reward < 0.0:
                 raise InvalidDistribution(f"negative reward {reward!r}")
             if not 0.0 <= prob <= 1.0:
@@ -75,10 +77,6 @@ def win_probability(arm: ArmModel) -> float:
     if isinstance(arm, TwoPointArm):
         return arm.p
     return 1.0 - sum(prob for reward, prob in arm.entries if reward == 0.0)
-
-
-def loss_probability(arm: ArmModel) -> float:
-    return 1.0 - win_probability(arm)
 
 
 def expected_payout(arm: ArmModel) -> float:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import DomainError
-from .formulas import ArmProbabilities, fair_payout
+from .formulas import ArmProbabilities, _check_gamma, fair_payout
 from .machines import MultipointDistribution, TwoPointArm
 
 #: Coups drawn and reduced per kernel step.
@@ -328,8 +328,7 @@ def simulate_mixture_once(
     Draw order per run: one uniform per coup for the arm choices of all
     coups, then one per coup for the outcomes.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0, 1], got {gamma!r}")
+    gamma = _check_gamma(gamma)
     _check_count("coups", coups)
     return _play(_mixture_chunks(gamma, probs, coups, seed), j)[0]
 

@@ -48,8 +48,10 @@ class TestChainSpec:
             ChainSpec(sequence=("A",), arms={}, j=2)
         with pytest.raises(DomainError):
             ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=1)
-        with pytest.raises(DomainError):
-            ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=2, stake=2.0)
+        for j in (2.5, float("nan"), float("inf"), "3"):
+            with pytest.raises(DomainError):
+                ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=j)
+        assert ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=3.0).j == 3
 
     def test_single_arm_allowed(self):
         spec = single_arm_chain(0.5)
@@ -145,7 +147,7 @@ class TestOracleProfit:
             solution = oracle_profit(spec)
             assert solution.stationary.sum() == pytest.approx(1.0, abs=1e-10)
             assert solution.stationary.min() >= -1e-12
-            assert solution.casino_profit == spec.stake - solution.player_return
+            assert solution.casino_profit == 1.0 - solution.player_return
             assert solution.residual <= 1e-12
 
     def test_all_loss_chain(self):
@@ -206,8 +208,12 @@ class TestMixtureChain:
         assert oracle == pytest.approx(0.024132730015082926, abs=1e-12)
 
     def test_gamma_domain(self):
-        with pytest.raises(DomainError):
-            mixture_chain(1.5, PROBS)
+        for gamma in (1.5, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                mixture_chain(gamma, PROBS)
+
+    def test_gamma_is_cast_to_float(self):
+        assert mixture_chain("0.5", PROBS) == mixture_chain(0.5, PROBS)
 
 
 class TestFairChainConstruction:

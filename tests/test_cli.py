@@ -12,6 +12,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse JSON, failing on the NaN and Infinity tokens strict parsers refuse."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def csv_rows(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -224,6 +233,21 @@ class TestSimulate:
         assert summary["oracle_value"] < 0.0
         assert abs(summary["z_score"]) < 6.0
 
+    def test_zero_standard_error_gives_null_z_score(self, capsys, tmp_path):
+        # both modes always pay, so every replication has the same mean
+        machine_path = tmp_path / "sure.machine"
+        machine_path.write_text("5 1.0\n\n3 1.0\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--strategy", "AB", "--machine", str(machine_path),
+            "--reduction", "multipoint",
+            "--coups", "100", "--reps", "4", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        summary = strict_json(out)
+        assert summary["standard_error"] == 0.0
+        assert summary["z_score"] is None
+        assert summary["grand_mean"] == summary["oracle_value"] == -3.0
+
     def test_single_replication_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
@@ -290,6 +314,31 @@ class TestBadSeeds:
         )
         assert code == 2
         assert "seed" in err
+        assert out == ""
+        assert not out_path.exists()
+
+
+class TestNonFiniteRewards:
+    RUN_FLAGS = {
+        "simulate": ["--strategy", "AB", "--reduction", "multipoint", "--coups", "100",
+                     "--reps", "4", "--seed", "1"],
+        "trajectory": ["--strategy", "AB", "--reduction", "multipoint", "--coups", "100",
+                       "--stride", "10", "--seed", "1"],
+        "machine-info": ["--format", "json"],
+    }
+
+    @pytest.mark.parametrize("reward", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["simulate", "trajectory", "machine-info"])
+    def test_exits_2(self, capsys, tmp_path, command, reward):
+        machine_path = tmp_path / "bad.machine"
+        machine_path.write_text(f"0 0.5\n{reward} 0.5\n\n0 0.25\n1.5 0.75\n", encoding="utf-8")
+        out_path = tmp_path / "out.csv"
+        out_flags = [] if command == "machine-info" else ["--out", str(out_path)]
+        code, out, err = run_cli(
+            capsys, command, "--machine", str(machine_path), *self.RUN_FLAGS[command], *out_flags
+        )
+        assert code == 2
+        assert "non-finite reward" in err
         assert out == ""
         assert not out_path.exists()
 

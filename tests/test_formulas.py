@@ -225,6 +225,11 @@ class TestArsProfit:
     def test_zero_on_diagonal(self):
         assert ars_profit(4, 2, ArmProbabilities(0.42, 0.42)) == 0.0
 
+    def test_counts_validated(self):
+        for r, s in ((0, 1), (1, 0)):
+            with pytest.raises(DomainError, match="play counts"):
+                ars_profit(r, s, PROBS)
+
 
 class TestSingleArmQuantities:
     def test_futurity_rate_values(self):

@@ -100,6 +100,11 @@ class TestDistributionValidation:
         with pytest.raises(InvalidDistribution):
             MultipointDistribution(((-1.0, 1.0),))
 
+    def test_non_finite_reward(self):
+        for reward in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidDistribution, match="non-finite reward"):
+                MultipointDistribution(((0.0, 0.5), (reward, 0.5)))
+
     def test_two_zero_entries_forbidden_by_distinctness(self):
         with pytest.raises(InvalidDistribution):
             MultipointDistribution(((0.0, 0.5), (0.0, 0.5)))

@@ -357,8 +357,9 @@ class TestMixtureSim:
         assert abs(result.grand_mean - oracle) <= 5.0 * result.standard_error
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            simulate_mixture_once(-0.1, PROBS, 100, 1)
+        for gamma in (-0.1, 1.1, float("nan")):
+            with pytest.raises(DomainError):
+                simulate_mixture_once(gamma, PROBS, 100, 1)
 
 
 class TestConfigValidation:

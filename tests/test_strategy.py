@@ -54,10 +54,12 @@ class TestParse:
             parse_strategy("  \t ")
 
     def test_illegal_character_position(self):
-        with pytest.raises(IllegalCharacter) as err:
-            parse_strategy("ABXBA")
-        assert err.value.position == 2
-        assert err.value.char == "X"
+        # positions count after whitespace removal and uppercasing
+        for text in ("ABXBA", " a b x"):
+            with pytest.raises(IllegalCharacter) as err:
+                parse_strategy(text)
+            assert err.value.position == 2
+            assert err.value.char == "X"
 
     def test_length_cap(self):
         with pytest.raises(PatternTooLong):
