@@ -14,6 +14,16 @@ L pays L // J awards, and the run still open at a chunk's end carries into
 the next chunk. A run of any length therefore needs O(CHUNK) memory, plus
 the trajectory marks it returns.
 
+A pattern of two-point arms is sampled as u < p, one broadcast comparison.
+Any other pattern goes through one inverse CDF over the whole chunk: each
+position's column holds its arm's cumulative probabilities without the last
+one, padded with +inf, and a coup's entry in one flat reward table is the
+column's base offset plus the count of thresholds its uniform reaches. For
+sorted thresholds that count is searchsorted(cumulative, u, side="right"),
+and dropping the last cumulative value clips it to K - 1, so the payouts
+are those of a per-arm searchsorted followed by a clip, bit for bit, also
+with zero-probability entries and with sums just short of 1.
+
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
 is the SplitMix64 finalizer. Sub-seeds therefore depend only on (m, k), so
@@ -46,6 +56,10 @@ from .machines import MultipointDistribution, TwoPointArm
 
 #: Coups drawn and reduced per kernel step.
 CHUNK = 1 << 17
+#: Largest replication count; the per-replication means take 16 bytes each.
+MAX_REPLICATIONS = 10**7
+#: Most rows a trajectory returns; each takes 16 bytes, and its CSV line more.
+MAX_TRAJECTORY_POINTS = 10**7
 # Coups per row of a pattern chunk, before rounding up to whole periods.
 _ROW = 1 << 12
 
@@ -89,6 +103,10 @@ class SimConfig:
     def __post_init__(self):
         _check_count("coups", self.coups)
         _check_count("replications", self.replications)
+        if self.replications > MAX_REPLICATIONS:
+            raise DomainError(
+                f"replications {self.replications} exceed cap {MAX_REPLICATIONS}"
+            )
         object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
 
 
@@ -139,32 +157,71 @@ class SimResult:
 _Chunks = Iterator[tuple[np.ndarray, np.ndarray]]
 
 
-def _sample_arm(arm, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniforms in [0,1) to (win mask, payout) for one arm model."""
-    if isinstance(arm, TwoPointArm):
-        win = uniforms < arm.p
-        return win, np.where(win, arm.u, 0.0)
-    if isinstance(arm, MultipointDistribution):
-        rewards = np.array([reward for reward, _ in arm.entries])
-        cumulative = np.cumsum([prob for _, prob in arm.entries])
-        idx = np.searchsorted(cumulative, uniforms, side="right")
-        np.clip(idx, 0, len(rewards) - 1, out=idx)
-        payout = rewards[idx]
-        return payout > 0.0, payout
-    raise DomainError(f"unsupported arm model {type(arm).__name__}")
-
-
-def _scratch_floats(size: int) -> np.ndarray:
-    """This thread's float buffer, `size` long, reused from run to run.
+def _scratch_array(size: int, dtype) -> np.ndarray:
+    """This thread's `dtype` buffer, `size` long, reused from run to run.
 
     Faulting in fresh pages costs more than the kernel's arithmetic on
-    them, so each thread draws uniforms and writes payouts into one buffer
-    instead of allocating per run.
+    them, so each thread draws uniforms, counts entry indices and writes
+    payouts into one buffer per dtype instead of allocating per run.
     """
-    buffer = getattr(_scratch, "floats", None)
+    dtype = np.dtype(dtype)
+    buffer = getattr(_scratch, dtype.name, None)
     if buffer is None or buffer.size < size:
-        buffer = _scratch.floats = np.zeros(size)
+        buffer = np.zeros(size, dtype)
+        setattr(_scratch, dtype.name, buffer)
     return buffer[:size]
+
+
+def _entry_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse-CDF tables of one pattern period, one column per position.
+
+    Returns the (K_max - 1) x n threshold matrix, each column's base offset
+    into the flat entry tables, and the flat rewards and win flags. A
+    column holds its arm's cumulative probabilities without the last one,
+    padded with +inf. A two-point arm is the table (u, win), (0, loss) with
+    the one threshold p, so it wins when u < p even if it pays nothing; a
+    multipoint entry wins when its reward is positive.
+    """
+    labels = list(dict.fromkeys(spec.sequence))
+    cumulative, rewards, wins = [], [], []
+    for arm in map(spec.arms.get, labels):
+        if isinstance(arm, TwoPointArm):
+            cumulative.append([arm.p])
+            rewards.append([arm.u, 0.0])
+            wins.append([True, False])
+        elif isinstance(arm, MultipointDistribution):
+            cumulative.append(np.cumsum([prob for _, prob in arm.entries])[:-1])
+            rewards.append([reward for reward, _ in arm.entries])
+            wins.append([reward > 0.0 for reward, _ in arm.entries])
+        else:
+            raise DomainError(f"unsupported arm model {type(arm).__name__}")
+    thresholds = np.full((max(map(len, cumulative)), len(labels)), np.inf)
+    for column, values in enumerate(cumulative):
+        thresholds[: len(values), column] = values
+    offsets = np.cumsum([0] + [len(values) for values in rewards[:-1]])
+    codes = [labels.index(label) for label in spec.sequence]
+    return thresholds[:, codes], offsets[codes], np.concatenate(rewards), np.concatenate(wins)
+
+
+def _entry_index(rows: np.ndarray, thresholds: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Flat entry index of each uniform: its column's base plus the thresholds it reaches.
+
+    A column's thresholds are sorted, so the count of those <= u equals
+    searchsorted(cumulative, u, side="right"); leaving the last cumulative
+    probability out clips that count to K - 1, and the +inf padding never
+    counts. The count accumulates in the narrowest unsigned type that holds
+    K_max - 1 (a byte for up to 255 thresholds), so each pass adds the
+    comparison's bytes without a cast; the base is added once, into this
+    thread's intp buffer.
+    """
+    reached = _scratch_array(rows.size, bool).reshape(rows.shape)
+    counts = _scratch_array(rows.size, np.min_scalar_type(len(thresholds))).reshape(rows.shape)
+    counts.fill(0)
+    for threshold in thresholds:
+        np.greater_equal(rows, threshold, out=reached)
+        np.add(counts, reached.view(np.uint8), out=counts)
+    index = _scratch_array(rows.size, np.intp).reshape(rows.shape)
+    return np.add(base, counts, out=index)
 
 
 def _pattern_chunks(spec: ChainSpec, coups: int, seed: int) -> _Chunks:
@@ -179,7 +236,7 @@ def _pattern_chunks(spec: ChainSpec, coups: int, seed: int) -> _Chunks:
     n = spec.n
     row = -(-min(_ROW, CHUNK, coups) // n) * n
     step = -(-min(CHUNK, coups) // row) * row
-    uniforms = _scratch_floats(step)
+    uniforms = _scratch_array(step, float)
     grid = uniforms.reshape(-1, row)
     arms = [spec.arms[label] for label in spec.sequence]
     if all(isinstance(arm, TwoPointArm) for arm in arms):
@@ -192,15 +249,15 @@ def _pattern_chunks(spec: ChainSpec, coups: int, seed: int) -> _Chunks:
             return win
 
     else:
-        labels = list(dict.fromkeys(spec.sequence))
-        codes = np.tile([labels.index(label) for label in spec.sequence], row // n)
-        slots = [(spec.arms[label], np.flatnonzero(codes == code)) for code, label in enumerate(labels)]
+        thresholds, base, rewards, wins = _entry_tables(spec)
+        thresholds = np.tile(thresholds, row // n)
+        base = np.tile(base, row // n)
 
         def sample(rows: np.ndarray) -> np.ndarray:
-            win = np.empty(rows.shape, dtype=bool)
-            for arm, columns in slots:
-                win[:, columns], rows[:, columns] = _sample_arm(arm, rows[:, columns])
-            return win
+            index = _entry_index(rows, thresholds, base)
+            # Every index is in range; "clip" skips the check that would buffer `out`.
+            np.take(rewards, index, out=rows, mode="clip")
+            return np.take(wins, index, mode="clip")
 
     for start in range(0, coups, step):
         k = min(step, coups - start)
@@ -221,7 +278,7 @@ def _mixture_chunks(gamma: float, probs: ArmProbabilities, coups: int, seed: int
     outcomes = np.random.Generator(np.random.PCG64(seed).advance(coups))
     pay_a, pay_b = fair_payout(probs.p_a), fair_payout(probs.p_b)
     size = min(CHUNK, coups)
-    buffer = _scratch_floats(2 * size)
+    buffer = _scratch_array(2 * size, float)
     for start in range(0, coups, size):
         k = min(size, coups - start)
         draws, b_payouts = buffer[:k], buffer[size : size + k]
@@ -312,6 +369,10 @@ def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -
     _check_count("stride", stride)
     if stride > coups:
         raise DomainError(f"stride {stride} exceeds coups {coups}: no point to sample")
+    if coups // stride > MAX_TRAJECTORY_POINTS:
+        raise DomainError(
+            f"{coups // stride} trajectory points exceed cap {MAX_TRAJECTORY_POINTS}; raise the stride"
+        )
     _, values = _play(_pattern_chunks(spec, coups, seed), spec.j, stride)
     return np.column_stack([np.arange(stride, coups + 1, stride), values])
 
@@ -347,6 +408,7 @@ def _aggregate(rep_means: np.ndarray, count_means: np.ndarray) -> SimResult:
 
 
 def _run_replications(run_one, config: SimConfig, workers: int) -> SimResult:
+    _check_count("workers", workers)
     reps = config.replications
     rep_means = np.empty(reps)
     count_means = np.empty(reps)
@@ -356,7 +418,7 @@ def _run_replications(run_one, config: SimConfig, workers: int) -> SimResult:
         rep_means[k] = ledger.mean_profit
         count_means[k] = ledger.count_formula_mean
 
-    if workers <= 1:
+    if workers == 1:
         for k in range(reps):
             task(k)
     else:

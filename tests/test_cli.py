@@ -257,6 +257,31 @@ class TestSimulate:
         assert "--reps" in err
         assert out == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, tmp_path, workers):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100", "--reps", "4", "--seed", "1", "--workers", workers,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert "workers" in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_oversized_reps_exit_2(self, capsys, tmp_path):
+        # rejected before any per-replication array is allocated
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100", "--reps", "100000000000", "--seed", "1", "--out", str(out_path),
+        )
+        assert code == 2
+        assert "cap" in err
+        assert out == ""
+        assert not out_path.exists()
+
     def test_missing_probs_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--strategy", "AB", "--coups", "100", "--reps", "2",
@@ -296,6 +321,17 @@ class TestTrajectory:
         )
         assert code == 2
         assert "exceeds" in err
+        assert not out_path.exists()
+
+    def test_too_many_points_exit_2(self, capsys, tmp_path):
+        # 10**11 rows would be drawn for hours; the cap rejects them before any draw
+        out_path = tmp_path / "huge.csv"
+        code, _, err = run_cli(
+            capsys, "trajectory", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100000000000", "--stride", "1", "--seed", "9", "--out", str(out_path),
+        )
+        assert code == 2
+        assert "cap" in err
         assert not out_path.exists()
 
 

@@ -129,6 +129,27 @@ class TestAgainstScalarReference:
             assert ledger.win_payouts == pytest.approx(payouts, abs=1e-9)
             assert ledger.futurity_events == awards
 
+    def test_mixed_patterns(self):
+        # Two-point arms share a pattern with Mills modes. Z's wins pay
+        # nothing but still reset the streak; W always wins, L never does.
+        mode_e, mode_o = mills_modes()
+        arms = {
+            "E": mode_e,
+            "O": mode_o,
+            "T": TwoPointArm(0.3, 2.5),
+            "Z": TwoPointArm(0.4, 0.0),
+            "W": TwoPointArm(1.0, 1.0),
+            "L": TwoPointArm(0.0, 3.0),
+        }
+        for text, j, seed in (("TE", 2, 8), ("EZO", 3, 81), ("ZZE", 2, 818), ("TZEOWL", 3, 8181)):
+            spec = ChainSpec(sequence=tuple(text), arms=arms, j=j)
+            ledger = simulate_once(spec, 900, seed)
+            wins, payouts, awards, profits = scalar_reference(spec, 900, seed)
+            assert (ledger.win_count, ledger.futurity_events) == (wins, awards)
+            assert ledger.win_payouts == pytest.approx(payouts, abs=1e-9)
+            trajectory = cumulative_trajectory(spec, 900, seed, stride=1)
+            assert np.allclose(trajectory[:, 1], np.cumsum(profits), rtol=0, atol=1e-9)
+
     def test_trajectory_matches_reference_cumsum(self):
         spec = fair_chain(parse_strategy("ABB"), PROBS, j=3)
         _, _, _, profits = scalar_reference(spec, 500, 2718)
@@ -156,6 +177,21 @@ def mixture_reference(gamma, probs, coups, seed, j):
             awards += 1
             streak = 0
     return int(win.sum()), payout, awards
+
+
+def trajectory_peaks(spec):
+    """tracemalloc peaks of trajectories 4 and 16 chunks long, after a warm-up."""
+
+    def peak(coups):
+        tracemalloc.start()
+        try:
+            cumulative_trajectory(spec, coups, 5, stride=simulate.CHUNK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(simulate.CHUNK)  # this thread's buffers are allocated once, here
+    return peak(4 * simulate.CHUNK), peak(16 * simulate.CHUNK)
 
 
 class TestChunkBoundaries:
@@ -216,21 +252,23 @@ class TestChunkBoundaries:
         assert chunked.win_payouts == pytest.approx(whole.win_payouts, rel=1e-12)
 
     def test_trajectory_memory_does_not_grow_with_coups(self):
-        spec = fair_chain(parse_strategy("AB"), PROBS)
-
-        def peak(coups):
-            tracemalloc.start()
-            try:
-                cumulative_trajectory(spec, coups, 5, stride=simulate.CHUNK)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(simulate.CHUNK)  # this thread's buffer is allocated once, here
-        small, large = peak(4 * simulate.CHUNK), peak(16 * simulate.CHUNK)
+        small, large = trajectory_peaks(fair_chain(parse_strategy("AB"), PROBS))
         assert large < 1.25 * small
         # far below one float per coup of the longer run
         assert large < 8 * 16 * simulate.CHUNK / 4
+
+    def test_multipoint_trajectory_memory_does_not_grow_with_coups(self):
+        # The threshold matrix is built once per run and the entry-index
+        # buffers once per thread, so neither grows with the run.
+        mode_e, mode_o = mills_modes()
+        spec = ChainSpec(sequence=tuple("AAABB"), arms={"A": mode_e, "B": mode_o}, j=2)
+        small, large = trajectory_peaks(spec)
+        assert large < 1.25 * small
+        assert large < 8 * 16 * simulate.CHUNK / 4
+        buffers = dict(vars(simulate._scratch))
+        assert {np.dtype(t).name for t in (float, bool, np.uint8, np.intp)} <= set(buffers)
+        cumulative_trajectory(spec, 16 * simulate.CHUNK, 6, stride=simulate.CHUNK)
+        assert all(vars(simulate._scratch)[name] is buffer for name, buffer in buffers.items())
 
 
 class TestDegenerateArms:
@@ -378,6 +416,32 @@ class TestConfigValidation:
             SimConfig(replications=2.0)
         with pytest.raises(DomainError, match="integer"):
             simulate_once(fair_chain(parse_strategy("AB"), PROBS), 100.0, 1)
+
+    def test_workers_below_one(self):
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        config = SimConfig(coups=100, replications=4, master_seed=1)
+        for workers in (0, -3, 1.5):
+            with pytest.raises(DomainError, match="workers"):
+                replicate(spec, config, workers=workers)
+            with pytest.raises(DomainError, match="workers"):
+                replicate_mixture(0.5, PROBS, config, workers=workers)
+
+    def test_oversized_runs_rejected_up_front(self, monkeypatch):
+        with pytest.raises(DomainError, match="cap"):
+            SimConfig(replications=simulate.MAX_REPLICATIONS + 1)
+        assert SimConfig(replications=simulate.MAX_REPLICATIONS).replications == simulate.MAX_REPLICATIONS
+
+        def no_draws(*args):
+            raise AssertionError("the run was drawn before its size was checked")
+
+        monkeypatch.setattr(simulate, "_pattern_chunks", no_draws)
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        with pytest.raises(DomainError, match="cap"):
+            cumulative_trajectory(spec, 10**11, 1, stride=1)
+        with pytest.raises(DomainError, match="cap"):
+            cumulative_trajectory(spec, (simulate.MAX_TRAJECTORY_POINTS + 1) * 3, 1, stride=3)
+        with pytest.raises(AssertionError, match="drawn"):
+            cumulative_trajectory(spec, simulate.MAX_TRAJECTORY_POINTS * 3, 1, stride=3)
 
     def test_seed_range(self):
         spec = fair_chain(parse_strategy("AB"), PROBS)
