@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .chain import ChainSpec, fair_chain, oracle_profit, single_arm_chain
 from .errors import FuturityError, SolverFailure
-from .formulas import ArmProbabilities, exact_profit, random_mix_profit
+from .formulas import ArmProbabilities, ProfitReport, exact_profit, random_mix_profit
 from .machines import (
     MultipointDistribution,
     empirical_two_point,
@@ -33,6 +33,9 @@ from .simulate import SimConfig, cumulative_trajectory, replicate
 from .strategy import Strategy, canonical_rotation, parse_strategy
 
 ORACLE_AGREEMENT_TOL = 1e-9
+
+#: Most points per axis of a sweep grid; a sweep evaluates up to its square.
+MAX_GRID_POINTS = 999
 
 SCHEMA_VERSION = 1
 
@@ -78,6 +81,8 @@ def _emit_rows(args, header: list[str], rows: list[list[str]]) -> None:
 def _grid(step: float) -> list[float]:
     if not 0.0 < step < 0.5:
         raise UsageError(f"--grid-step must lie in (0, 0.5), got {step}")
+    if (MAX_GRID_POINTS + 1) * step < 1.0 - 1e-9:  # the loop's test for one point more
+        raise UsageError(f"--grid-step {step} gives more than {MAX_GRID_POINTS} points per axis")
     values = []
     k = 1
     while k * step < 1.0 - 1e-9:
@@ -129,12 +134,17 @@ def _seed_from_flags(args) -> int:
     return seed
 
 
+def _checked_profit(strategy: Strategy, probs: ArmProbabilities) -> tuple[ProfitReport, float, float]:
+    """Closed-form report, oracle profit and their absolute difference."""
+    report = exact_profit(strategy, probs)
+    oracle = oracle_profit(fair_chain(strategy, probs)).casino_profit
+    return report, oracle, abs(report.profit - oracle)
+
+
 def cmd_exact(args) -> int:
     strategy = parse_strategy(args.strategy)
     probs = _probs(args)
-    report = exact_profit(strategy, probs)
-    oracle = oracle_profit(fair_chain(strategy, probs)).casino_profit
-    difference = abs(report.profit - oracle)
+    report, oracle, difference = _checked_profit(strategy, probs)
 
     if args.format == "json":
         payload = {
@@ -187,10 +197,8 @@ def cmd_sweep(args) -> int:
         strategy = parse_strategy(text)
         for p_a in p_a_values:
             for p_b in p_b_values:
-                probs = ArmProbabilities(p_a, p_b)
-                report = exact_profit(strategy, probs)
-                oracle = oracle_profit(fair_chain(strategy, probs)).casino_profit
-                worst = max(worst, abs(report.profit - oracle))
+                report, _, difference = _checked_profit(strategy, ArmProbabilities(p_a, p_b))
+                worst = max(worst, difference)
                 rows.append(
                     [
                         text,
@@ -292,16 +300,11 @@ def _mode_report(name: str, dist: MultipointDistribution, j: int) -> dict:
         ).casino_profit,
     }
     if 0.0 < p < 1.0:
-        fair = fair_two_point(dist)
-        empirical = empirical_two_point(dist)
-        report["fair_payout"] = fair.u
-        report["fair_single_arm_profit"] = oracle_profit(
-            single_arm_chain(fair.p, fair.u, j=j)
-        ).casino_profit
-        report["empirical_payout"] = empirical.u
-        report["empirical_single_arm_profit"] = oracle_profit(
-            single_arm_chain(empirical.p, empirical.u, j=j)
-        ).casino_profit
+        for kind, arm in (("fair", fair_two_point(dist)), ("empirical", empirical_two_point(dist))):
+            report[f"{kind}_payout"] = arm.u
+            report[f"{kind}_single_arm_profit"] = oracle_profit(
+                single_arm_chain(arm.p, arm.u, j=j)
+            ).casino_profit
     return report
 
 

@@ -17,14 +17,11 @@ and zero exactly when the two arms share one win probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import BlockCountTooSmall, DomainError
 from .strategy import BlockVector, Strategy, block_vector, canonical_rotation
-
-#: Futurity threshold the closed forms are derived for. The chain oracle and
-#: the simulator accept any J >= 2; these formulas do not.
-CLOSED_FORM_J = 2
 
 
 def _check_gamma(gamma: float) -> float:
@@ -95,9 +92,7 @@ def single_arm_futurity_rate(p: float) -> float:
     Equals q^2/(1 + q) with q = 1 - p: the stationary chance that the current
     coup completes a pair of consecutive losses. Lies in (0, 1/2).
     """
-    p = _check_probability("p", p)
-    q = 1.0 - p
-    return q * q / (1.0 + q)
+    return futurity_refund_per_coup(1.0 - _check_probability("p", p)) / 2.0
 
 
 def b_sequence(blocks: BlockVector, probs: ArmProbabilities) -> tuple[float, ...]:
@@ -115,6 +110,17 @@ def b_sequence(blocks: BlockVector, probs: ArmProbabilities) -> tuple[float, ...
     return tuple(base + base)
 
 
+def _alternating(values, total: float) -> float:
+    """total + sum_{j>=1} (-1)^j * prod(values[:j]), adding the terms in order."""
+    window = 1.0
+    sign = -1.0
+    for value in values:
+        window *= value
+        total += sign * window
+        sign = -sign
+    return total
+
+
 def q_factor(blocks: BlockVector, probs: ArmProbabilities) -> float:
     """Structural profit factor of a block vector.
 
@@ -130,16 +136,8 @@ def q_factor(blocks: BlockVector, probs: ArmProbabilities) -> float:
     b = b_sequence(blocks, probs)
     total = float(h)
     for m in range(2 * h):
-        window = 1.0
-        sign = -1.0
-        for j in range(2 * h - 1):
-            window *= b[m + j]
-            total += sign * window
-            sign = -sign
-    period = 1.0
-    for i in range(2 * h):
-        period *= b[i]
-    return total + h * period
+        total = _alternating(b[m : m + 2 * h - 1], total)
+    return total + h * math.prod(b[: 2 * h])
 
 
 def s_factor(r: int, s: int, probs: ArmProbabilities) -> float:
@@ -207,9 +205,7 @@ def futurity_rate_strategy(strategy: Strategy, probs: ArmProbabilities) -> float
     p_seq = [probs.p_a if ch == "A" else probs.p_b for ch in strategy.symbols]
     q_seq = [1.0 - p for p in p_seq]
     n = len(p_seq)
-    period_loss = 1.0
-    for q in q_seq:
-        period_loss *= q
+    period_loss = math.prod(q_seq)
     total = 0.0
     for j in range(n):
         window = 1.0
@@ -259,22 +255,8 @@ def block_swap_delta(blocks: BlockVector, probs: ArmProbabilities) -> float:
     b = b_sequence(blocks, probs)
     s_val = s_factor(blocks.r, blocks.s, probs)
 
-    forward = 1.0  # j = 0 term: empty product
-    window = 1.0
-    sign = -1.0
-    for j in range(1, 2 * h - 2):
-        window *= b[j - 1]
-        forward += sign * window
-        sign = -sign
-
-    backward = 0.0
-    window = 1.0
-    sign = -1.0
-    for j in range(1, 2 * h - 1):
-        window *= b[2 * h - 2 - j]
-        backward += sign * window
-        sign = -sign
-
+    forward = _alternating(b[: 2 * h - 3], 1.0)  # 1.0 is the j = 0 empty product
+    backward = _alternating(b[2 * h - 3 :: -1], 0.0)
     return 2.0 * s_val * (1.0 - b[2 * h - 2]) * (1.0 - b[2 * h - 1]) * (forward + backward)
 
 

@@ -134,25 +134,23 @@ def mirror(strategy: Strategy) -> Strategy:
 
 
 def _least_rotation_index(sym: tuple[str, ...]) -> int:
-    # Booth's algorithm, O(n): index of the lexicographically least rotation.
-    doubled = sym + sym
-    n = len(doubled)
-    fail = [-1] * n
-    k = 0
-    for j in range(1, n):
-        ch = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and ch != doubled[k + i + 1]:
-            if ch < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if ch != doubled[k + i + 1]:
-            if ch < doubled[k]:
-                k = j
-            fail[j - k] = -1
+    # Two-pointer least rotation, O(n): candidates i and j agree on k symbols;
+    # a mismatch drops the larger candidate and the k rotations after it.
+    n, doubled = len(sym), sym + sym
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def canonical_rotation(strategy: Strategy) -> Strategy:

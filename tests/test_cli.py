@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from futurity import format_machine_file, mills_modes
-from futurity.cli import main
+from futurity import format_machine_file, mills_modes, simulate
+from futurity.cli import UsageError, _grid, main
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +120,19 @@ class TestSweep:
     def test_bad_step(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--strategy", "AB", "--grid-step", "0.6")
         assert code == 2
+
+    def test_grid_point_cap(self):
+        with pytest.raises(UsageError, match="points per axis"):
+            _grid(1e-5)
+        assert len(_grid(0.001)) == 999
+
+    @pytest.mark.parametrize("command", [["sweep", "--strategy", "AB"], ["random-sweep"]])
+    def test_tiny_step_exits_2(self, capsys, command):
+        # refused before the grid is built, so this returns at once
+        code, out, err = run_cli(capsys, *command, "--grid-step", "1e-9")
+        assert code == 2
+        assert "points per axis" in err
+        assert out == ""
 
 
 class TestRandomSweep:
@@ -263,6 +276,22 @@ class TestSimulate:
         code, out, err = run_cli(
             capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
             "--coups", "100", "--reps", "4", "--seed", "1", "--workers", workers,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert "workers" in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_too_many_workers_exit_2(self, capsys, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built before workers were checked")
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100", "--reps", "4", "--seed", "1", "--workers", "1000000",
             "--out", str(out_path),
         )
         assert code == 2

@@ -426,6 +426,21 @@ class TestConfigValidation:
             with pytest.raises(DomainError, match="workers"):
                 replicate_mixture(0.5, PROBS, config, workers=workers)
 
+    def test_workers_above_cap_start_no_threads(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        config = SimConfig(coups=100, replications=4, master_seed=1)
+        with pytest.raises(DomainError, match="cap"):
+            replicate(spec, config, workers=simulate.MAX_WORKERS + 1)
+        with pytest.raises(DomainError, match="cap"):
+            replicate_mixture(0.5, PROBS, config, workers=simulate.MAX_WORKERS + 1)
+        # the cap itself is accepted and reaches the pool
+        with pytest.raises(AssertionError, match="pool"):
+            replicate(spec, config, workers=simulate.MAX_WORKERS)
+
     def test_oversized_runs_rejected_up_front(self, monkeypatch):
         with pytest.raises(DomainError, match="cap"):
             SimConfig(replications=simulate.MAX_REPLICATIONS + 1)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from futurity import (
     BlockCountTooSmall,
@@ -20,6 +22,17 @@ from futurity import (
     swap_last_runs,
 )
 from futurity.strategy import MAX_PATTERN_LENGTH
+
+
+def least_rotation(symbols):
+    return min(symbols[k:] + symbols[:k] for k in range(len(symbols)))
+
+
+letters = st.lists(st.sampled_from("AB"), min_size=1, max_size=20)
+# Periodic patterns are where the two rotation pointers tie.
+periodic = st.builds(lambda block, times: tuple(block) * times, letters, st.integers(2, 50))
+free = st.lists(st.sampled_from("AB"), min_size=2, max_size=300).map(tuple)
+two_arm_patterns = st.one_of(periodic, free).filter(lambda sym: "A" in sym and "B" in sym)
 
 
 def all_patterns(length):
@@ -123,6 +136,15 @@ class TestCanonicalRotation:
             assert canonical_rotation(c) == c
             for shift in range(s.n):
                 assert canonical_rotation(rotate(s, shift)) == c
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_arm_patterns, st.lists(st.integers(0, 10**6), min_size=1, max_size=5))
+    def test_least_rotation_property(self, sym, shifts):
+        s = Strategy(sym)
+        c = canonical_rotation(s)
+        assert c.symbols == least_rotation(sym)
+        for shift in shifts:
+            assert canonical_rotation(rotate(s, shift)) == c
 
 
 class TestBlockVector:
