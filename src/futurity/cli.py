@@ -184,7 +184,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    strategies = sorted({s.upper() for s in args.strategy})
+    strategies = {s.text(): s for s in map(parse_strategy, args.strategy)}
     if args.fix_pb is not None and not 0.0 < args.fix_pb < 1.0:
         raise UsageError(f"--fix-pb must lie in (0, 1), got {args.fix_pb}")
     p_a_values = _grid(args.grid_step)
@@ -193,8 +193,7 @@ def cmd_sweep(args) -> int:
     header = ["strategy", "p_a", "p_b", "r_exact", "q", "s"]
     rows: list[list[str]] = []
     worst = 0.0
-    for text in strategies:
-        strategy = parse_strategy(text)
+    for text, strategy in sorted(strategies.items()):
         for p_a in p_a_values:
             for p_b in p_b_values:
                 report, _, difference = _checked_profit(strategy, ArmProbabilities(p_a, p_b))

@@ -96,18 +96,20 @@ def single_arm_futurity_rate(p: float) -> float:
 
 
 def b_sequence(blocks: BlockVector, probs: ArmProbabilities) -> tuple[float, ...]:
-    """Signed loss-run weights of a block vector, periodically extended.
+    """Signed loss-run weights of a block vector, one period (2h entries).
 
     Entry i is (-q)^a_i with q the loss probability of the arm the run plays,
-    so runs of odd length carry a negative sign. The 2h base entries are
-    repeated once (length 4h) because the structural factor indexes windows
-    that wrap past the end of one period.
+    so runs of odd length carry a negative sign.
     """
-    base: list[float] = []
-    for i, length in enumerate(blocks.a):
-        q = probs.q_a if i % 2 == 0 else probs.q_b
-        base.append((-q) ** length)
-    return tuple(base + base)
+    q = (probs.q_a, probs.q_b)
+    return tuple((-q[i % 2]) ** length for i, length in enumerate(blocks.a))
+
+
+def _period_gap(r: int, s: int, probs: ArmProbabilities) -> float:
+    """1 - P, P = prod(b) = (-1)^(r+s) q_a^r q_b^s; expm1/log1p if r+s is even."""
+    if (r + s) % 2:
+        return 1.0 + probs.q_a**r * probs.q_b**s
+    return -math.expm1(r * math.log1p(-probs.p_a) + s * math.log1p(-probs.p_b))
 
 
 def _alternating(values, total: float) -> float:
@@ -124,37 +126,37 @@ def _alternating(values, total: float) -> float:
 def q_factor(blocks: BlockVector, probs: ArmProbabilities) -> float:
     """Structural profit factor of a block vector.
 
-    Literal evaluation of
+    With b = b_sequence(blocks) indexed cyclically and P = prod(b),
 
-        Q = h + sum_{m=1..2h} sum_{j=1..2h-1} (-1)^j prod_{i=m..m+j-1} b_i
-              + h * prod_{i=1..2h} b_i
+        Q = h + sum_{m=1..2h} sum_{j=1..2h-1} (-1)^j prod_{i=m..m+j-1} b_i + h*P
+          = h*(1 - P) + sum_m W_m,   W_m = sum_{j=1..2h} (-1)^j prod_{i=m..m+j-1} b_i
 
-    with running window products, O(h^2). Strictly positive for every valid
+    W_1 is summed directly; W_m = -b_m*((1 - P) + W_{m+1}) gives the rest
+    backwards around the cycle, O(h). Strictly positive for every valid
     block vector and probability pair.
     """
-    h = blocks.h
     b = b_sequence(blocks, probs)
-    total = float(h)
-    for m in range(2 * h):
-        total = _alternating(b[m : m + 2 * h - 1], total)
-    return total + h * math.prod(b[: 2 * h])
+    gap = _period_gap(blocks.r, blocks.s, probs)
+    w = _alternating(b, 0.0)
+    total = blocks.h * gap + w
+    for b_m in b[:0:-1]:
+        w = -b_m * (gap + w)
+        total += w
+    return total
 
 
 def s_factor(r: int, s: int, probs: ArmProbabilities) -> float:
     """Parametric profit factor for r A-plays and s B-plays per period.
 
-    Zero exactly when the arms share one win probability; the denominator
-    cannot vanish for probabilities strictly inside (0, 1).
+    S = (p_a - p_b)^2 / ((r+s) (2-p_a)^2 (2-p_b)^2 (1 - P)), P as in q_factor,
+    zero exactly when the arms share one win probability.
     """
     if r < 1 or s < 1:
         raise DomainError(f"play counts must be >= 1, got r={r}, s={s}")
-    p_a, p_b, q_a, q_b = probs.p_a, probs.p_b, probs.q_a, probs.q_b
-    sign = -1.0 if (r + s) % 2 else 1.0
-    numerator = (p_a - p_b) ** 2 * (1.0 + sign * q_a**r * q_b**s)
-    denominator = (
-        (r + s) * (2.0 - p_a) ** 2 * (2.0 - p_b) ** 2 * (1.0 - q_a ** (2 * r) * q_b ** (2 * s))
+    p_a, p_b = probs.p_a, probs.p_b
+    return (p_a - p_b) ** 2 / (
+        (r + s) * (2.0 - p_a) ** 2 * (2.0 - p_b) ** 2 * _period_gap(r, s, probs)
     )
-    return numerator / denominator
 
 
 def exact_profit(strategy: Strategy, probs: ArmProbabilities) -> ProfitReport:
@@ -193,29 +195,32 @@ def ars_profit(r: int, s: int, probs: ArmProbabilities) -> float:
 def futurity_rate_strategy(strategy: Strategy, probs: ArmProbabilities) -> float:
     """Per-coup futurity-award rate of a periodic pattern.
 
-    Evaluates, with p_i / q_i the win / loss probability of the arm at cyclic
-    position i,
+    With p_i / q_i the win / loss probability of the arm at cyclic position
+    i, the rate is (1/n) * sum_j p_j * V_j, where
 
-        (1/n) * sum_{k=1..n} sum_{j=1..n} p_j * prod_{i=j+1..j+2k} q_i
-              / (1 - (q_a^r q_b^s)^2)
+        V_j = sum_{k>=1} prod_{i=j+1..j+2k} q_i = q_{j+1} q_{j+2} (1 + V_{j+2}).
 
-    by accumulating each j's running loss product over 2n steps, O(n^2).
-    The pattern is used as given; the rate is rotation invariant.
+    The n-step walks j -> j+2 from positions 0 and 1 close with product G^2,
+    G = q_a^r q_b^s, and together visit every position twice. A lap of the
+    recurrence from V = 0 gives a walk's start V times 1 - G^2; a second lap
+    gives each V_j on the walk. O(n); rotation invariant.
     """
     p_seq = [probs.p_a if ch == "A" else probs.p_b for ch in strategy.symbols]
     q_seq = [1.0 - p for p in p_seq]
     n = len(p_seq)
-    period_loss = math.prod(q_seq)
+    lap_gap = _period_gap(2 * strategy.r, 2 * strategy.s, probs)
     total = 0.0
-    for j in range(n):
-        window = 1.0
-        acc = 0.0
-        for step in range(1, 2 * n + 1):
-            window *= q_seq[(j + step) % n]
-            if step % 2 == 0:
-                acc += window
-        total += p_seq[j] * acc
-    return total / (n * (1.0 - period_loss * period_loss))
+    for start in (0, 1):
+        walk = [j % n for j in range(start + 2 * n - 2, start - 1, -2)]
+        steps = [q_seq[(j + 1) % n] * q_seq[(j + 2) % n] for j in walk]
+        v = 0.0
+        for step in steps:
+            v = step * (1.0 + v)
+        v /= lap_gap
+        for j, step in zip(walk, steps):
+            v = step * (1.0 + v)
+            total += p_seq[j] * v
+    return total / (2 * n)
 
 
 def profit_via_rates(strategy: Strategy, probs: ArmProbabilities) -> float:
@@ -226,8 +231,9 @@ def profit_via_rates(strategy: Strategy, probs: ArmProbabilities) -> float:
 
         2 * ( (r/n) * rate_A + (s/n) * rate_B - rate_pattern )
 
-    Agrees with exact_profit to solver precision; the two expressions share
-    no code path beyond input validation.
+    The two expressions share no code path beyond input validation. This one
+    differences O(1) rates, so its relative error grows as the profit
+    shrinks: AB at (p_a, p_b) = (1e-7, 2e-7) is 2% off exact_profit.
     """
     n = strategy.n
     weighted = (

@@ -22,9 +22,8 @@ from .errors import (
 
 ARMS = ("A", "B")
 
-#: Longest accepted pattern. The cap bounds memory, not runtime: the literal
-#: closed forms are O(h^2) and O(n^2), and q_factor takes about 2 s at
-#: h = 2000 (one core of a 2-vCPU host, Python 3.11).
+#: Longest accepted pattern. The cap bounds memory; the closed forms are
+#: linear in the pattern length.
 MAX_PATTERN_LENGTH = 1_000_000
 
 

@@ -111,6 +111,15 @@ class TestSweep:
         strategies = [row[0] for row in rows]
         assert strategies == sorted(strategies)
 
+    def test_spellings_of_one_pattern_merge(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--strategy", "a b", "--strategy", "AB", "--grid-step", "0.4"
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert len(rows) == 4
+        assert {row[0] for row in rows} == {"AB"}
+
     def test_byte_deterministic(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

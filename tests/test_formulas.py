@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from futurity import (
     ArmProbabilities,
@@ -12,6 +15,7 @@ from futurity import (
     b_sequence,
     block_swap_delta,
     block_vector,
+    canonical_rotation,
     exact_profit,
     fair_chain,
     fair_payout,
@@ -51,6 +55,18 @@ def random_blocks(rng, h):
     return BlockVector(tuple(rng.randint(1, 4) for _ in range(2 * h)))
 
 
+probabilities = st.builds(ArmProbabilities, st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+patterns = (
+    st.lists(st.sampled_from("AB"), min_size=2, max_size=200)
+    .filter(lambda sym: "A" in sym and "B" in sym)
+    .map(lambda sym: parse_strategy("".join(sym)))
+)
+# 2..25 block pairs with runs of 1..4: patterns of length 4..200
+block_vectors = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=2, max_size=25
+).map(lambda pairs: BlockVector(sum(pairs, ())))
+
+
 class TestArmProbabilities:
     def test_bounds(self):
         for bad in (0.0, 1.0, -0.1, 1.1):
@@ -72,42 +88,103 @@ class TestArmProbabilities:
 
 class TestBSequence:
     def test_single_pair(self):
-        assert b_sequence(BlockVector((1, 1)), PROBS) == pytest.approx(
-            (-0.7, -0.3, -0.7, -0.3), abs=1e-16
-        )
+        assert b_sequence(BlockVector((1, 1)), PROBS) == pytest.approx((-0.7, -0.3), abs=1e-16)
 
     def test_even_runs_positive(self):
         b = b_sequence(BlockVector((2, 2)), PROBS)
-        assert b == pytest.approx((0.49, 0.09, 0.49, 0.09), abs=1e-15)
+        assert b == pytest.approx((0.49, 0.09), abs=1e-15)
 
     def test_sign_follows_run_parity(self):
         a = (2, 1, 2, 2, 1, 2, 1, 2, 2, 1)
         b = b_sequence(BlockVector(a), PROBS)
-        expected_signs = [1 if length % 2 == 0 else -1 for length in a] * 2
+        expected_signs = [1 if length % 2 == 0 else -1 for length in a]
         assert [math.copysign(1, x) for x in b] == expected_signs
         assert all(abs(x) < 1.0 for x in b)
 
-    def test_periodic_extension(self):
+    def test_one_period(self):
         b = b_sequence(BlockVector((3, 1, 2, 2)), PROBS)
-        assert len(b) == 8
-        assert b[4:] == b[:4]
+        assert b == pytest.approx((-(0.7**3), -0.3, 0.49, 0.09), abs=1e-15)
 
 
-def brute_force_q(blocks, probs):
-    """Literal double sum with explicit per-term products (no running window)."""
-    h = blocks.h
-    b = b_sequence(blocks, probs)
-    total = float(h)
+def brute_force_q(b):
+    """Literal O(h^2) double sum over one period b of b_sequence.
+
+    Uses explicit per-term products (no running window) in the number type
+    of b's entries, so Fraction entries give Q exactly.
+    """
+    h = len(b) // 2
+    b = tuple(b) * 2  # windows wrap past the end of one period
+    total = h
     for m in range(1, 2 * h + 1):
         for j in range(1, 2 * h):
-            term = (-1.0) ** j
+            term = (-1) ** j
             for i in range(m, m + j):
                 term *= b[i - 1]
             total += term
-    tail = float(h)
+    tail = h
     for i in range(2 * h):
         tail *= b[i]
     return total + tail
+
+
+def rational_b(blocks, probs):
+    """b_sequence in exact arithmetic, with q = 1 - p taken without rounding."""
+    q = (1 - Fraction(probs.p_a), 1 - Fraction(probs.p_b))
+    return tuple((-q[i % 2]) ** length for i, length in enumerate(blocks.a))
+
+
+def rational_s(r, s, probs):
+    """Literal S, with the (1 + P) / (1 - P^2) pair the float form cancels."""
+    p_a, p_b = Fraction(probs.p_a), Fraction(probs.p_b)
+    q_a, q_b = 1 - p_a, 1 - p_b
+    numerator = (p_a - p_b) ** 2 * (1 + (-1) ** (r + s) * q_a**r * q_b**s)
+    denominator = (r + s) * (2 - p_a) ** 2 * (2 - p_b) ** 2 * (1 - q_a ** (2 * r) * q_b ** (2 * s))
+    return numerator / denominator
+
+
+def rational_rate(strategy, probs):
+    """Literal O(n^2) award-rate sum: each position's loss products over 2n steps."""
+    p_seq = [Fraction(probs.p_a if ch == "A" else probs.p_b) for ch in strategy.symbols]
+    q_seq = [1 - p for p in p_seq]
+    n = len(p_seq)
+    total = 0
+    for j in range(n):
+        window = 1
+        for step in range(1, 2 * n + 1):
+            window *= q_seq[(j + step) % n]
+            if step % 2 == 0:
+                total += p_seq[j] * window
+    return total / (n * (1 - math.prod(q_seq) ** 2))
+
+
+def relative_error(value, exact):
+    return float(abs(Fraction(value) - exact) / abs(exact))
+
+
+CORNER_PATTERNS = (
+    "AB", "AAB", "AABB", "AABAB", "AABAAB", "ABAABB", "AAABAB", "ABBBAB", "AAAABBBBAAAAAABBB",
+)
+CORNER_PAIRS = (
+    (1e-9, 3e-9), (3e-9, 1e-9), (1e-7, 2e-7), (1e-4, 2e-4), (0.999999, 0.999998), (0.01, 0.99),
+)
+
+
+class TestRationalReference:
+    @pytest.mark.parametrize("p_a, p_b", CORNER_PAIRS)
+    def test_corner_table(self, p_a, p_b):
+        probs = ArmProbabilities(p_a, p_b)
+        for text in CORNER_PATTERNS:
+            strategy = parse_strategy(text)
+            blocks = block_vector(canonical_rotation(strategy))
+            q = brute_force_q(rational_b(blocks, probs))
+            s = rational_s(blocks.r, blocks.s, probs)
+            report = exact_profit(strategy, probs)
+            assert report.q_factor > 0.0, text
+            assert relative_error(report.q_factor, q) <= 1e-7, text
+            assert relative_error(report.profit, 2 * q * s) <= 1e-7, text
+            assert relative_error(report.s_factor, s) <= 1e-14, text
+            rate = futurity_rate_strategy(strategy, probs)
+            assert relative_error(rate, rational_rate(strategy, probs)) <= 1e-14, text
 
 
 class TestQFactor:
@@ -134,7 +211,7 @@ class TestQFactor:
             blocks = random_blocks(rng, rng.randint(1, 5))
             probs = random_probs(rng)
             assert q_factor(blocks, probs) == pytest.approx(
-                brute_force_q(blocks, probs), rel=1e-12
+                brute_force_q(b_sequence(blocks, probs)), rel=1e-12
             )
 
     def test_positive(self):
@@ -188,24 +265,19 @@ class TestExactProfit:
                 base, abs=1e-12
             )
 
-    def test_repetition_invariance(self):
-        s = parse_strategy("AABAB")
-        base = exact_profit(s, PROBS).profit
-        for k in (2, 3, 4):
-            repeated = parse_strategy(s.text() * k)
-            assert exact_profit(repeated, PROBS).profit == pytest.approx(base, abs=1e-9)
+    @settings(max_examples=200, deadline=None)
+    @given(patterns, probabilities, st.integers(2, 4))
+    def test_repetition_invariance(self, s, probs, k):
+        base = exact_profit(s, probs).profit
+        repeated = parse_strategy(s.text() * k)
+        assert exact_profit(repeated, probs).profit == pytest.approx(base, abs=1e-9)
 
-    def test_mirror_symmetry(self):
-        rng = random.Random(31)
-        for _ in range(50):
-            sym = tuple(rng.choice("AB") for _ in range(rng.randint(2, 12)))
-            if "A" not in sym or "B" not in sym:
-                continue
-            s = parse_strategy("".join(sym))
-            probs = random_probs(rng)
-            left = exact_profit(s, probs).profit
-            right = exact_profit(mirror(s), probs.swapped()).profit
-            assert left == pytest.approx(right, abs=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(patterns, probabilities)
+    def test_mirror_symmetry(self, s, probs):
+        left = exact_profit(s, probs).profit
+        right = exact_profit(mirror(s), probs.swapped()).profit
+        assert left == pytest.approx(right, abs=1e-12)
 
 
 class TestArsProfit:
@@ -326,17 +398,14 @@ class TestBlockSwapDelta:
         delta = block_swap_delta(blocks, PROBS)
         assert delta == pytest.approx(R_AB - R_AABB, abs=1e-12)
 
-    def test_random_blocks_match_direct_difference(self):
-        rng = random.Random(53)
-        for _ in range(100):
-            blocks = random_blocks(rng, rng.choice([2, 3, 4]))
-            probs = random_probs(rng)
-            swapped = swap_last_runs(blocks)
-            direct = (
-                exact_profit(blocks.to_strategy(), probs).profit
-                - exact_profit(swapped, probs).profit
-            )
-            assert block_swap_delta(blocks, probs) == pytest.approx(direct, abs=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(block_vectors, probabilities)
+    def test_random_blocks_match_direct_difference(self, blocks, probs):
+        swapped = swap_last_runs(blocks)
+        direct = (
+            exact_profit(blocks.to_strategy(), probs).profit - exact_profit(swapped, probs).profit
+        )
+        assert block_swap_delta(blocks, probs) == pytest.approx(direct, abs=1e-12)
 
     def test_diagonal_zero(self):
         blocks = BlockVector((2, 1, 1, 3))
