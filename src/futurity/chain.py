@@ -1,20 +1,20 @@
 """Exact stationary analysis of the Futurity machine as a Markov chain.
 
-State is (cycle position, consecutive-loss streak). The streak lives in
-{0, ..., J-1}: a win resets it, a loss advances it, and the J-th consecutive
-loss pays the J-coin futurity award and resets it. Position advances
-cyclically through the arm sequence every coup.
+State is (cycle position, consecutive-loss streak in {0, ..., J-1}). A win
+resets the streak, a loss advances it, and the J-th loss in a row pays the
+J-coin futurity award and resets it. Position advances cyclically every coup.
 
-Two independent solvers are provided. The default exploits the deterministic
-position cycle: the streak distribution at each position obeys an affine
-recurrence whose one-period fixed point can be solved in closed form, giving
-an O(n*J) exact answer for chains of any size. A dense transition-matrix
-route (build_chain / stationary) solves the full linear system and exists to
-cross-validate the fast path at small sizes.
+The default solver follows the deterministic position cycle. Over one period
+the streak distribution obeys an affine map; its fixed point, the start
+vector, is solved in closed form over the period gap 1 - G^(J/g), with G the
+product of the loss probabilities and g = gcd(n, J). The gap is 0 only when
+every coup loses, and the start vector is then the walk from streak 0. One
+forward pass gives every position, O(n*J) for up to MAX_CHAIN_STATES states.
+The dense transition-matrix route (build_chain / stationary) cross-validates
+it at small sizes.
 
-Unlike play strategies, chain sequences may use a single arm, and win
-probabilities of exactly 0 or 1 are legal; unreachable states simply carry
-stationary mass zero.
+Chain sequences may use a single arm, and win probabilities of exactly 0 or
+1 are legal; unreachable states carry stationary mass zero.
 """
 
 from __future__ import annotations
@@ -29,10 +29,13 @@ import numpy as np
 from .errors import DomainError, SolverFailure
 from .formulas import ArmProbabilities, _check_gamma, fair_payout
 from .machines import ArmModel, TwoPointArm, expected_payout, win_probability
-from .strategy import Strategy
+from .strategy import MAX_PATTERN_LENGTH, Strategy
 
 #: Largest state count the dense matrix route accepts.
 DENSE_STATE_LIMIT = 2000
+
+#: Largest state count n*J oracle_profit accepts: every valid pattern at J = 2.
+MAX_CHAIN_STATES = 2 * MAX_PATTERN_LENGTH
 
 STATIONARY_RESIDUAL_TOL = 1e-12
 
@@ -171,26 +174,20 @@ def _streak_distributions(p_seq: list[float], j: int) -> tuple[list[list[float]]
     One coup maps the streak distribution w at position i to
         w'(0) = p_i + q_i * w(J-1),   w'(c) = q_i * w(c-1)
     which is affine with linear part q_i * (index shift). Over one period the
-    linear part collapses to G * (shift by n mod J) with G the product of all
-    loss probabilities, so the fixed point splits into independent scalar
-    recurrences along the cycles of that index permutation.
+    linear part is G * (shift by n mod J), so the fixed point splits into
+    scalar recurrences along the residue classes modulo g, each of length
+    L = J/g. A class's start value is its accumulated constant over the gap
+    1 - G^L = -expm1(L * sum(log1p(-p_i))), which is 1 if some p_i is 1. A
+    zero gap means every p_i is 0: the start vector is then g/J on the
+    streaks c = 0 (mod g). The forward pass back to position 0 is the check.
     """
     n = len(p_seq)
     q_seq = [1.0 - p for p in p_seq]
-    loss_product = 1.0
-    for q in q_seq:
-        loss_product *= q
-
+    loss_product = math.prod(q_seq)
     g = math.gcd(n, j)
-    if loss_product == 1.0:
-        # Every coup loses: the walk from (position 0, streak 0) visits
-        # (t mod n, t mod J) deterministically, so streaks at position i are
-        # uniform over the residues congruent to i modulo g.
-        dists = []
-        for i in range(n):
-            w = [g / j if c % g == i % g else 0.0 for c in range(j)]
-            dists.append(w)
-        return dists, 0.0
+    length = j // g
+    # G = 0 (some p_i is 1, where log1p(-p_i) would raise) leaves a gap of 1.
+    gap = -math.expm1(length * sum(math.log1p(-p) for p in p_seq)) if loss_product else 1.0
 
     def advance(w: list[float], i: int) -> list[float]:
         q, p = q_seq[i], p_seq[i]
@@ -202,8 +199,6 @@ def _streak_distributions(p_seq: list[float], j: int) -> tuple[list[list[float]]
         zero_image = advance(zero_image, i)
 
     # Fixed point: w(c) = G * w((c - n) mod J) + d(c), solved cycle by cycle.
-    # The cycles of c -> c - n (mod J) are the residue classes modulo g.
-    length = j // g
     w0 = [0.0] * j
     for start in range(g):
         cycle = [(start - k * n) % j for k in range(length)]
@@ -212,17 +207,14 @@ def _streak_distributions(p_seq: list[float], j: int) -> tuple[list[list[float]]
         for c in cycle:
             acc += power * zero_image[c]
             power *= loss_product
-        w0[cycle[0]] = acc / (1.0 - loss_product**length)
+        w0[cycle[0]] = acc / gap if gap else (start == 0) * g / j
         for idx in range(length - 1, 0, -1):
-            successor = cycle[(idx + 1) % length]
-            w0[cycle[idx]] = loss_product * w0[successor] + zero_image[cycle[idx]]
+            w0[cycle[idx]] = loss_product * w0[cycle[(idx + 1) % length]] + zero_image[cycle[idx]]
 
-    dists = [list(w0)]
-    w = list(w0)
-    for i in range(n - 1):
-        w = advance(w, i)
-        dists.append(w)
-    closure = advance(w, n - 1)
+    dists = [w0]
+    for i in range(n):
+        dists.append(advance(dists[-1], i))
+    closure = dists.pop()
     residual = max(abs(a - b) for a, b in zip(closure, w0))
     if residual > STATIONARY_RESIDUAL_TOL:
         raise SolverFailure("streak recurrence did not close over one period", residual)
@@ -232,36 +224,36 @@ def _streak_distributions(p_seq: list[float], j: int) -> tuple[list[list[float]]
 def oracle_profit(spec: ChainSpec, method: str = "recurrence") -> ChainSolution:
     """Exact per-coup futurity rate and casino profit of a chain.
 
-    method "recurrence" (default) uses the closed-form position recurrence
-    and scales to arbitrarily long sequences; "dense" assembles the full
-    transition matrix and solves the linear system, limited to
-    DENSE_STATE_LIMIT states. Both return identical numbers to well below
-    the 1e-12 residual tolerance.
+    method "recurrence" (default) solves the position recurrence, "dense" the
+    full transition matrix (up to DENSE_STATE_LIMIT states). Both give each
+    position's streak distribution, from which the award rate and the
+    player's return are derived once; they agree well below the 1e-12
+    residual tolerance. Chains above MAX_CHAIN_STATES states are refused.
     """
     n, j = spec.n, spec.j
+    if n * j > MAX_CHAIN_STATES:
+        raise DomainError(f"chain would have {n * j} states, above the cap of {MAX_CHAIN_STATES}")
     p_seq = spec.win_probabilities()
-    e_seq = spec.expected_payouts()
 
     if method == "dense":
         matrix = build_chain(spec)
         pi = stationary(matrix)
-        rate = sum(pi[i * j + (j - 1)] * (1.0 - p_seq[i]) for i in range(n))
-        position_mass = [float(pi[i * j : (i + 1) * j].sum()) for i in range(n)]
         residual = float(np.max(np.abs(pi @ matrix - pi)))
+        rows = n * pi.reshape(n, j)
     elif method == "recurrence":
-        dists, residual = _streak_distributions(p_seq, j)
-        rate = sum((1.0 - p_seq[i]) * dists[i][j - 1] for i in range(n)) / n
-        position_mass = [1.0 / n] * n
-        pi = np.array([w[c] / n for w in dists for c in range(j)])
+        rows, residual = _streak_distributions(p_seq, j)
+        pi = np.array(rows).ravel() / n
     else:
         raise DomainError(f"unknown solver method {method!r}")
 
-    player_return = sum(mass * e for mass, e in zip(position_mass, e_seq)) + j * rate
+    # Every position holds 1/n of the mass; an award is the J-th loss in a row.
+    rate = float(sum((1.0 - p) * row[j - 1] for p, row in zip(p_seq, rows)) / n)
+    player_return = sum(e * (1.0 / n) for e in spec.expected_payouts()) + j * rate
     return ChainSolution(
         stationary=pi,
-        futurity_rate=float(rate),
+        futurity_rate=rate,
         casino_profit=1.0 - player_return,
-        player_return=float(player_return),
+        player_return=player_return,
         residual=residual,
     )
 

@@ -1,8 +1,9 @@
 """Command-line interface: exact values, sweeps, simulations, trajectories.
 
-Exit codes: 0 on success, 2 on validation errors (bad flags, malformed
-patterns or machine files), 3 on internal numeric failure (stationary solve
-residual, or closed form and oracle disagreeing beyond tolerance).
+Exit codes: 0 on success, 2 on validation errors (bad flags, flags the
+command would ignore, malformed patterns or machine files, oversized runs or
+chains), 3 on internal numeric failure (stationary solve residual, or closed
+form and oracle disagreeing beyond tolerance).
 
 All CSV output is UTF-8 with LF line endings, a header row, and numbers
 formatted to 9 significant digits, so identical flags and seed reproduce
@@ -102,15 +103,16 @@ def _probs(args) -> ArmProbabilities:
 def _machine_arms(args) -> tuple[dict, dict]:
     """Arm map and a JSON-ready description from --machine/--reduction flags."""
     mode_a, mode_b = load_machine_file(args.machine)
-    if args.reduction == "fair":
+    reduction = args.reduction or "fair"
+    if reduction == "fair":
         arms = {"A": fair_two_point(mode_a), "B": fair_two_point(mode_b)}
-    elif args.reduction == "empirical":
+    elif reduction == "empirical":
         arms = {"A": empirical_two_point(mode_a), "B": empirical_two_point(mode_b)}
     else:
         arms = {"A": mode_a, "B": mode_b}
     description = {
         "machine": str(args.machine),
-        "reduction": args.reduction,
+        "reduction": reduction,
         "win_probability_a": win_probability(arms["A"]),
         "win_probability_b": win_probability(arms["B"]),
     }
@@ -119,8 +121,12 @@ def _machine_arms(args) -> tuple[dict, dict]:
 
 def _spec_from_flags(args, strategy: Strategy) -> tuple[ChainSpec, dict]:
     if args.machine is not None:
+        if args.pa is not None or args.pb is not None:
+            raise UsageError("--pa and --pb cannot be combined with --machine")
         arms, description = _machine_arms(args)
         return ChainSpec(sequence=strategy.symbols, arms=arms, j=args.j), description
+    if args.reduction is not None:
+        raise UsageError("--reduction needs a --machine file")
     probs = _probs(args)
     description = {"p_a": probs.p_a, "p_b": probs.p_b}
     return fair_chain(strategy, probs, j=args.j), description
@@ -245,8 +251,8 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--reps must be >= 2 to give a standard error, got {args.reps}")
     seed = _seed_from_flags(args)
     config = SimConfig(coups=args.coups, replications=args.reps, master_seed=seed)
-    result = replicate(spec, config, workers=args.workers)
     oracle = oracle_profit(spec).casino_profit
+    result = replicate(spec, config, workers=args.workers)
     z_score = (
         (result.grand_mean - oracle) / result.standard_error
         if result.standard_error > 0.0
@@ -308,6 +314,8 @@ def _mode_report(name: str, dist: MultipointDistribution, j: int) -> dict:
 
 
 def cmd_machine_info(args) -> int:
+    if args.mills and args.machine is not None:
+        raise UsageError("machine-info takes --machine <file> or --mills, not both")
     if args.mills:
         mode_a, mode_b = mills_modes()
         source = "builtin: antique Mills Futurity (modes E, O)"
@@ -351,7 +359,6 @@ def _add_machine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--reduction",
         choices=["fair", "empirical", "multipoint"],
-        default="fair",
         help="how to turn machine modes into arms (default: fair two-point)",
     )
 

@@ -182,14 +182,9 @@ def ars_profit(r: int, s: int, probs: ArmProbabilities) -> float:
     """Profit of the single-block pattern A^r B^s.
 
     Special case 2*S*(1 - (-q_a)^r)*(1 - (-q_b)^s), equal to exact_profit of
-    the same pattern.
+    the same pattern; each run factor is a _period_gap of that run alone.
     """
-    return (
-        2.0
-        * s_factor(r, s, probs)
-        * (1.0 - (-probs.q_a) ** r)
-        * (1.0 - (-probs.q_b) ** s)
-    )
+    return 2.0 * s_factor(r, s, probs) * _period_gap(r, 0, probs) * _period_gap(0, s, probs)
 
 
 def futurity_rate_strategy(strategy: Strategy, probs: ArmProbabilities) -> float:
@@ -263,7 +258,8 @@ def block_swap_delta(blocks: BlockVector, probs: ArmProbabilities) -> float:
 
     forward = _alternating(b[: 2 * h - 3], 1.0)  # 1.0 is the j = 0 empty product
     backward = _alternating(b[2 * h - 3 :: -1], 0.0)
-    return 2.0 * s_val * (1.0 - b[2 * h - 2]) * (1.0 - b[2 * h - 1]) * (forward + backward)
+    last_a, last_b = _period_gap(blocks.a[-2], 0, probs), _period_gap(0, blocks.a[-1], probs)
+    return 2.0 * s_val * last_a * last_b * (forward + backward)
 
 
 def futurity_refund_per_coup(loss_probability: float) -> float:

@@ -1,5 +1,7 @@
+import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from futurity import (
     DomainError,
     TwoPointArm,
     build_chain,
+    chain,
     exact_profit,
     fair_chain,
     fair_payout,
@@ -20,6 +23,7 @@ from futurity import (
     single_arm_chain,
     stationary,
 )
+from test_formulas import CORNER_PAIRS, CORNER_PATTERNS
 
 PROBS = ArmProbabilities(0.3, 0.7)
 
@@ -38,6 +42,45 @@ def random_spec(rng, allow_degenerate=True):
         arms[label] = TwoPointArm(p, rng.uniform(0.0, 3.0))
         sequence.append(label)
     return ChainSpec(sequence=tuple(sequence), arms=arms, j=j)
+
+
+def rational_recurrence(spec):
+    """Zero-image and residue-cycle solve of a chain over Fraction.
+
+    Returns the exact per-position streak distributions, award rate and
+    casino profit of the chain's float probabilities and payouts. An
+    all-loss chain (G = 1) starts from streak 0: g/J on streaks c = 0 (mod g).
+    """
+    n, j = spec.n, spec.j
+    p_seq = [Fraction(p) for p in spec.win_probabilities()]
+    q_seq = [1 - p for p in p_seq]
+    loss_product = math.prod(q_seq)
+    g = math.gcd(n, j)
+    length = j // g
+
+    def advance(w, i):
+        return [p_seq[i] + q_seq[i] * w[j - 1]] + [q_seq[i] * w[c] for c in range(j - 1)]
+
+    zero_image = [Fraction(0)] * j
+    for i in range(n):
+        zero_image = advance(zero_image, i)
+    w0 = [Fraction(0)] * j
+    for start in range(g):
+        cycle = [(start - k * n) % j for k in range(length)]
+        if loss_product == 1:
+            w0[start] = Fraction(g, j) if start == 0 else Fraction(0)
+        else:
+            acc = sum(loss_product**k * zero_image[c] for k, c in enumerate(cycle))
+            w0[start] = acc / (1 - loss_product**length)
+        for idx in range(length - 1, 0, -1):
+            w0[cycle[idx]] = loss_product * w0[cycle[(idx + 1) % length]] + zero_image[cycle[idx]]
+    rows = [w0]
+    for i in range(n - 1):
+        rows.append(advance(rows[-1], i))
+    assert advance(rows[-1], n - 1) == w0
+    rate = sum(q * row[j - 1] for q, row in zip(q_seq, rows)) / n
+    payouts = sum(Fraction(e) for e in spec.expected_payouts()) / n
+    return rows, rate, 1 - payouts - j * rate
 
 
 class TestChainSpec:
@@ -115,6 +158,8 @@ class TestOracleProfit:
             p = k / 100
             solution = oracle_profit(single_arm_chain(p))
             assert abs(solution.casino_profit) <= 1e-12
+        for p in (1e-12, 1e-9, 1e-6):
+            assert abs(oracle_profit(single_arm_chain(p)).casino_profit) <= 1e-15
 
     def test_ab_values(self):
         solution = oracle_profit(fair_chain(parse_strategy("AB"), PROBS))
@@ -151,15 +196,44 @@ class TestOracleProfit:
             assert solution.residual <= 1e-12
 
     def test_all_loss_chain(self):
-        # every coup loses: an award lands every J coups and refunds J coins
-        for n, j in [(1, 2), (2, 2), (3, 2), (2, 4), (6, 4)]:
-            arms = {"L": TwoPointArm(0.0, 1.0)}
-            spec = ChainSpec(sequence=("L",) * n, arms=arms, j=j)
+        # every coup loses, or so nearly that 1 - p rounds to 1: an award lands
+        # every J coups and refunds J coins
+        for p in (0.0, 1e-300, 1e-17):
+            for n, j in [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (6, 4)]:
+                arms = {"L": TwoPointArm(p, 1.0)}
+                spec = ChainSpec(sequence=("L",) * n, arms=arms, j=j)
+                solution = oracle_profit(spec)
+                assert solution.futurity_rate == pytest.approx(1.0 / j, abs=1e-14)
+                assert solution.casino_profit == pytest.approx(0.0, abs=1e-14)
+                dense = oracle_profit(spec, method="dense")
+                assert dense.casino_profit == pytest.approx(0.0, abs=1e-12)
+                assert np.allclose(solution.stationary, dense.stationary, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p_a, p_b", CORNER_PAIRS)
+    def test_matches_rational_recurrence(self, p_a, p_b):
+        probs = ArmProbabilities(p_a, p_b)
+        cases = [(text, 2) for text in CORNER_PATTERNS]
+        cases += [(text, j) for text in ("AB", "AAB") for j in (3, 5)]
+        for text, j in cases:
+            spec = fair_chain(parse_strategy(text), probs, j=j)
+            rows, rate, profit = rational_recurrence(spec)
             solution = oracle_profit(spec)
-            assert solution.futurity_rate == pytest.approx(1.0 / j, abs=1e-14)
-            assert solution.casino_profit == pytest.approx(0.0, abs=1e-14)
-            dense = oracle_profit(spec, method="dense")
-            assert dense.casino_profit == pytest.approx(0.0, abs=1e-12)
+            assert abs(Fraction(solution.casino_profit) - profit) <= 1e-15, (text, j)
+            assert abs(Fraction(solution.futurity_rate) - rate) <= 1e-15, (text, j)
+            exact = [w / spec.n for row in rows for w in row]
+            worst = max(abs(Fraction(x) - y) for x, y in zip(solution.stationary, exact))
+            assert worst <= 1e-15, (text, j)
+
+    def test_state_cap(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the chain was solved before its size was checked")
+
+        monkeypatch.setattr(chain, "_streak_distributions", unreachable)
+        arms = {"A": TwoPointArm(0.5, 1.0)}
+        with pytest.raises(DomainError, match="cap"):
+            oracle_profit(ChainSpec(("A",) * 2, arms, j=chain.MAX_CHAIN_STATES // 2 + 1))
+        with pytest.raises(AssertionError, match="solved"):
+            oracle_profit(ChainSpec(("A",) * 2, arms, j=chain.MAX_CHAIN_STATES // 2))
 
     def test_always_win_profit(self):
         spec = single_arm_chain(1.0, u=1.25)

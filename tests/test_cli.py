@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from futurity import format_machine_file, mills_modes, simulate
+from futurity import chain, format_machine_file, mills_modes, simulate
 from futurity.cli import UsageError, _grid, main
 
 
@@ -70,6 +70,17 @@ class TestExact:
         )
         assert code == 0
         assert "uncorrected-sign" in out
+
+    @pytest.mark.parametrize(
+        "strategy, p_a, p_b",
+        [("AABB", "1e-9", "3e-9"), ("AABAB", "1e-9", "3e-9"), ("AB", "1e-12", "1e-12")],
+    )
+    def test_tiny_probabilities_pass_the_oracle_check(self, capsys, strategy, p_a, p_b):
+        code, out, err = run_cli(
+            capsys, "exact", "--strategy", strategy, "--pa", p_a, "--pb", p_b, "--format", "json"
+        )
+        assert code == 0, err
+        assert strict_json(out)["abs_difference"] <= 1e-15
 
 
 class TestSweep:
@@ -328,6 +339,24 @@ class TestSimulate:
         assert code == 2
         assert "--pa and --pb" in err
 
+    def test_oversized_chain_exit_2(self, capsys, tmp_path, monkeypatch):
+        # the oracle's state cap is checked before any solve or draw
+        def unreachable(*args):
+            raise AssertionError("the run was solved or drawn before its size was checked")
+
+        monkeypatch.setattr(simulate, "_pattern_chunks", unreachable)
+        monkeypatch.setattr(chain, "_streak_distributions", unreachable)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100", "--reps", "4", "--seed", "1", "--j", "100000000",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert "cap" in err
+        assert out == ""
+        assert not out_path.exists()
+
 
 class TestTrajectory:
     def test_rows_and_stride(self, capsys, tmp_path):
@@ -359,6 +388,30 @@ class TestTrajectory:
         )
         assert code == 2
         assert "exceeds" in err
+        assert not out_path.exists()
+
+    def test_probabilities_with_machine_exit_2(self, capsys, tmp_path):
+        machine_path = tmp_path / "mills.machine"
+        machine_path.write_text(format_machine_file(*mills_modes()), encoding="utf-8")
+        out_path = tmp_path / "traj.csv"
+        code, _, err = run_cli(
+            capsys, "trajectory", "--strategy", "AB", "--machine", str(machine_path),
+            "--pa", "0.3", "--pb", "0.7", "--coups", "1000", "--stride", "100", "--seed", "9",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert "--machine" in err
+        assert not out_path.exists()
+
+    def test_reduction_without_machine_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "traj.csv"
+        code, _, err = run_cli(
+            capsys, "trajectory", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--reduction", "multipoint", "--coups", "1000", "--stride", "100", "--seed", "9",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert "--reduction" in err
         assert not out_path.exists()
 
     def test_too_many_points_exit_2(self, capsys, tmp_path):
@@ -451,3 +504,23 @@ class TestMachineInfo:
         path.write_text("0 0.7\n2 0.5\n\n0 0.25\n1.5 0.75\n", encoding="utf-8")
         code, _, _ = run_cli(capsys, "machine-info", "--machine", str(path))
         assert code == 2
+
+    def test_mills_with_machine_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "machine-info", "--mills", "--machine", str(tmp_path / "absent.machine")
+        )
+        assert code == 2
+        assert "not both" in err
+        assert out == ""
+
+    def test_oversized_chain_exits_2(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the chain was solved before its size was checked")
+
+        monkeypatch.setattr(chain, "_streak_distributions", unreachable)
+        code, out, err = run_cli(
+            capsys, "machine-info", "--mills", "--j", str(chain.MAX_CHAIN_STATES + 1)
+        )
+        assert code == 2
+        assert "cap" in err
+        assert out == ""

@@ -185,6 +185,9 @@ class TestRationalReference:
             assert relative_error(report.s_factor, s) <= 1e-14, text
             rate = futurity_rate_strategy(strategy, probs)
             assert relative_error(rate, rational_rate(strategy, probs)) <= 1e-14, text
+            if blocks.h == 1:
+                ars = ars_profit(blocks.r, blocks.s, probs)
+                assert relative_error(ars, 2 * q * s) <= 1e-14, text
 
 
 class TestQFactor:
