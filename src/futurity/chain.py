@@ -40,6 +40,13 @@ MAX_CHAIN_STATES = 2 * MAX_PATTERN_LENGTH
 STATIONARY_RESIDUAL_TOL = 1e-12
 
 
+def _check_threshold(j) -> int:
+    """The futurity threshold J as an int; it must be an integer >= 2."""
+    if not (isinstance(j, numbers.Real) and math.isfinite(j) and int(j) == j >= 2):
+        raise DomainError(f"futurity threshold must be an integer >= 2, got {j!r}")
+    return int(j)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """An arm sequence, the arms' payoff models, and the futurity threshold."""
@@ -51,10 +58,7 @@ class ChainSpec:
     def __post_init__(self):
         if not self.sequence:
             raise DomainError("chain sequence is empty")
-        j = self.j
-        if not (isinstance(j, numbers.Real) and math.isfinite(j) and int(j) == j >= 2):
-            raise DomainError(f"futurity threshold must be an integer >= 2, got {j!r}")
-        object.__setattr__(self, "j", int(j))
+        object.__setattr__(self, "j", _check_threshold(self.j))
         missing = sorted(set(self.sequence) - set(self.arms))
         if missing:
             raise DomainError(f"sequence uses arms with no payoff model: {missing}")

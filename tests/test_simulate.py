@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from futurity import (
     ArmProbabilities,
@@ -240,6 +242,20 @@ class TestChunkBoundaries:
             reference = np.cumsum(scalar_reference(spec, self.COUPS, 99)[3])
             assert np.allclose(chunked[:, 1], reference[chunked[:, 0].astype(int) - 1], rtol=0, atol=1e-9)
 
+    def test_chunks_not_whole_bytes(self, monkeypatch):
+        # AAB rounds the chunk up to 1002 coups, so every chunk ends inside a
+        # byte whose pad bits are losses, and loss runs carry across the ends.
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        for j in (2, 3, 11):
+            spec = fair_chain(parse_strategy("AAB"), self.LOW, j=j)
+            for seed in (4, 40, 400):
+                ledger = simulate_once(spec, self.COUPS, seed)
+                wins, payouts, awards, profits = scalar_reference(spec, self.COUPS, seed)
+                assert (ledger.win_count, ledger.futurity_events) == (wins, awards)
+                assert ledger.win_payouts == pytest.approx(payouts, rel=1e-12)
+                trajectory = cumulative_trajectory(spec, self.COUPS, seed, stride=1)
+                assert np.allclose(trajectory[:, 1], np.cumsum(profits), rtol=0, atol=1e-9)
+
     def test_mixture_stream(self, monkeypatch):
         coups, seed, gamma = self.COUPS, 31, 0.4
         wins, payout, awards = mixture_reference(gamma, self.LOW, coups, seed, j=3)
@@ -269,6 +285,56 @@ class TestChunkBoundaries:
         assert {np.dtype(t).name for t in (float, bool, np.uint8, np.intp)} <= set(buffers)
         cumulative_trajectory(spec, 16 * simulate.CHUNK, 6, stride=simulate.CHUNK)
         assert all(vars(simulate._scratch)[name] is buffer for name, buffer in buffers.items())
+
+
+def streak_walk(win, j, losses):
+    """Per-coup stakes, award count and open loss run of a win mask, coup by coup.
+
+    The mask continues a run of `losses` losses, whose awards are paid.
+    """
+    streak, run, stakes = losses % j, losses, []
+    for won in win:
+        streak, run = (0, 0) if won else (streak + 1, run + 1)
+        stakes.append(1.0 - j if streak == j else 1.0)
+        streak %= j
+    return stakes, stakes.count(1.0 - j), run
+
+
+class TestByteReduction:
+    """The packed-byte award count against a literal streak walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3000),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 20),
+        st.integers(0, 50),
+    )
+    def test_matches_streak_walk(self, size, p, seed, j, losses):
+        win = np.random.default_rng(seed).random(size) < p
+        stakes, awards, run = streak_walk(win, j, losses)
+        keys, events, open_run = simulate._awards(win, j, losses)
+        assert (events, open_run) == (awards, run)
+        assert simulate._award_tables(j)[1][keys].ravel()[:size].tolist() == stakes
+        # The kernel carries the same run in from a chunk of `losses` losses.
+        chunks = [(np.zeros(losses, bool), np.zeros(losses))] if losses else []
+        chunks.append((win, np.zeros(size)))
+        ledger, trajectory = simulate._play(iter(chunks), j, stride=1)
+        whole_stakes, whole_awards, _ = streak_walk(np.concatenate([np.zeros(losses, bool), win]), j, 0)
+        assert (ledger.win_count, ledger.futurity_events) == (int(win.sum()), whole_awards)
+        # Integer stakes and zero payouts: the running sum is exact.
+        assert np.diff(trajectory, prepend=0.0).tolist() == whole_stakes
+
+    def test_tables(self):
+        for j in (2, 8, 9, 20):
+            counts, stakes = simulate._award_tables(j)
+            assert counts.shape == (9 * 256,) and stakes.shape == (9 * 256, 8)
+            assert np.array_equal(counts, (stakes != 1.0).sum(axis=1))
+            assert not counts.flags.writeable and not stakes.flags.writeable
+            assert simulate._award_tables(j) is simulate._award_tables(j)
+        # Phase 0 pays at coups 0, j, 2j, ... of an all-loss byte.
+        assert simulate._award_tables(3)[1][0].tolist() == [-2.0, 1, 1, -2.0, 1, 1, -2.0, 1]
 
 
 class TestDegenerateArms:
@@ -320,6 +386,28 @@ class TestTrajectory:
         assert trajectory.shape == (8, 2)
         assert trajectory[-1, 0] == 4000
         assert trajectory[-1, 1] == pytest.approx(ledger.casino_profit_total, abs=1e-9)
+
+    def test_final_point_exact_for_integer_payouts(self):
+        mode_e, mode_o = mills_modes()
+        spec = ChainSpec(sequence=("E", "O"), arms={"E": mode_e, "O": mode_o}, j=2)
+        for seed in (3, 31):
+            ledger = simulate_once(spec, 300_000, seed)
+            trajectory = cumulative_trajectory(spec, 300_000, seed, stride=100_000)
+            assert trajectory[-1, 1] == ledger.casino_profit_total
+
+    def test_final_point_within_rounding_for_fractional_payouts(self):
+        # Adding a term to a running sum s errs by at most eps/2 * |s|, and
+        # forming 1 - payout by eps/2 * |1 - payout|: half the bound below.
+        # The ledger's pairwise payout sum errs by at most
+        # eps/2 * log2(coups) * sum(payouts), well inside the other half.
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        coups = 1_000_000
+        ledger = simulate_once(spec, coups, 3)
+        trajectory = cumulative_trajectory(spec, coups, 3, stride=1)
+        largest_term = 1.0 + max(fair_payout(p) for p in (PROBS.p_a, PROBS.p_b)) + spec.j
+        bound = np.finfo(float).eps * coups * (np.abs(trajectory[:, 1]).max() + largest_term)
+        gap = abs(trajectory[-1, 1] - ledger.casino_profit_total)
+        assert gap <= bound
 
     def test_stride_equal_to_coups(self):
         spec = fair_chain(parse_strategy("AB"), PROBS)
@@ -398,6 +486,16 @@ class TestMixtureSim:
         for gamma in (-0.1, 1.1, float("nan")):
             with pytest.raises(DomainError):
                 simulate_mixture_once(gamma, PROBS, 100, 1)
+
+    def test_threshold_domain(self):
+        config = SimConfig(coups=100, replications=4, master_seed=1)
+        for j in (0, 1, 2.5, -3, float("nan")):
+            with pytest.raises(DomainError, match="threshold"):
+                simulate_mixture_once(0.5, PROBS, 100, 1, j=j)
+            with pytest.raises(DomainError, match="threshold"):
+                replicate_mixture(0.5, PROBS, config, workers=2, j=j)
+        # an integral float is the integer threshold, as in ChainSpec
+        assert simulate_mixture_once(0.5, PROBS, 100, 1, j=3.0) == simulate_mixture_once(0.5, PROBS, 100, 1, j=3)
 
 
 class TestConfigValidation:
