@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, SolverFailure
 from .formulas import ArmProbabilities, _check_gamma, fair_payout
-from .machines import ArmModel, TwoPointArm, expected_payout, win_probability
+from .machines import ArmModel, MultipointDistribution, TwoPointArm, expected_payout, win_probability
 from .strategy import MAX_PATTERN_LENGTH, Strategy
 
 #: Largest state count the dense matrix route accepts.
@@ -59,9 +59,13 @@ class ChainSpec:
         if not self.sequence:
             raise DomainError("chain sequence is empty")
         object.__setattr__(self, "j", _check_threshold(self.j))
-        missing = sorted(set(self.sequence) - set(self.arms))
+        labels = sorted(set(self.sequence))
+        missing = [label for label in labels if label not in self.arms]
         if missing:
             raise DomainError(f"sequence uses arms with no payoff model: {missing}")
+        for label in labels:
+            if not isinstance(self.arms[label], (TwoPointArm, MultipointDistribution)):
+                raise DomainError(f"arm {label!r} is a {type(self.arms[label]).__name__}, not an arm model")
 
     @property
     def n(self) -> int:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, flags the
 command would ignore, malformed patterns or machine files, oversized runs or
-chains), 3 on internal numeric failure (stationary solve residual, or closed
-form and oracle disagreeing beyond tolerance).
+chains, files that cannot be read or written), 3 on internal numeric failure
+(stationary solve residual, or closed form and oracle disagreeing beyond
+tolerance).
 
 All CSV output is UTF-8 with LF line endings, a header row, and numbers
 formatted to 9 significant digits, so identical flags and seed reproduce
@@ -41,10 +42,6 @@ MAX_GRID_POINTS = 999
 SCHEMA_VERSION = 1
 
 
-class NumericDivergence(RuntimeError):
-    """Closed form and oracle disagree beyond tolerance; exit code 3."""
-
-
 class UsageError(FuturityError):
     """Bad flag combination or value; exit code 2."""
 
@@ -59,6 +56,14 @@ def _write_text(out: str | None, text: str) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out path that cannot be written, before the run is drawn."""
+    if out is not None and Path(out).is_dir():
+        raise UsageError(f"--out {out} is a directory")
+    if out is not None and not Path(out).parent.is_dir():
+        raise UsageError(f"--out {out}: no directory {Path(out).parent}")
 
 
 def _csv(header: list[str], rows: list[list[str]]) -> str:
@@ -183,16 +188,12 @@ def cmd_exact(args) -> int:
             print(f"uncorrected-sign value: {_fmt(-report.profit)}")
 
     if difference > ORACLE_AGREEMENT_TOL:
-        raise NumericDivergence(
-            f"closed form {report.profit!r} vs oracle {oracle!r}: |diff| {difference:.3e}"
-        )
+        raise SolverFailure(f"closed form {report.profit!r} and oracle {oracle!r} disagree", difference)
     return 0
 
 
 def cmd_sweep(args) -> int:
     strategies = {s.text(): s for s in map(parse_strategy, args.strategy)}
-    if args.fix_pb is not None and not 0.0 < args.fix_pb < 1.0:
-        raise UsageError(f"--fix-pb must lie in (0, 1), got {args.fix_pb}")
     p_a_values = _grid(args.grid_step)
     p_b_values = [args.fix_pb] if args.fix_pb is not None else p_a_values
 
@@ -215,7 +216,7 @@ def cmd_sweep(args) -> int:
                     ]
                 )
     if worst > ORACLE_AGREEMENT_TOL:
-        raise NumericDivergence(f"sweep disagrees with oracle: worst |diff| {worst:.3e}")
+        raise SolverFailure("sweep disagrees with the oracle", worst)
     _emit_rows(args, header, rows)
     print(f"sweep: {len(rows)} rows, worst oracle |diff| {worst:.3e}", file=sys.stderr)
     return 0
@@ -223,9 +224,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_random_sweep(args) -> int:
     gammas = sorted(args.gamma) if args.gamma else [0.1, 0.3, 0.5, 0.7, 0.9]
-    for gamma in gammas:
-        if not 0.0 <= gamma <= 1.0:
-            raise UsageError(f"--gamma must lie in [0, 1], got {gamma}")
     values = _grid(args.grid_step)
 
     header = ["gamma", "p_a", "p_b", "r_c"]
@@ -249,6 +247,7 @@ def cmd_simulate(args) -> int:
     spec, description = _spec_from_flags(args, strategy)
     if args.reps < 2:
         raise UsageError(f"--reps must be >= 2 to give a standard error, got {args.reps}")
+    _check_out(args.out)
     seed = _seed_from_flags(args)
     config = SimConfig(coups=args.coups, replications=args.reps, master_seed=seed)
     oracle = oracle_profit(spec).casino_profit
@@ -285,6 +284,7 @@ def cmd_simulate(args) -> int:
 def cmd_trajectory(args) -> int:
     strategy = parse_strategy(args.strategy)
     spec, _ = _spec_from_flags(args, strategy)
+    _check_out(args.out)
     seed = _seed_from_flags(args)
     trajectory = cumulative_trajectory(spec, args.coups, seed, args.stride)
     header = ["coup", "cumulative_profit"]
@@ -438,10 +438,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SolverFailure, NumericDivergence) as exc:
+    except SolverFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except FuturityError as exc:
+    except (FuturityError, OSError) as exc:  # OSError: a named file cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

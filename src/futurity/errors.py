@@ -53,7 +53,7 @@ class DegenerateMode(FuturityError, ValueError):
 
 
 class SolverFailure(FuturityError, RuntimeError):
-    """The stationary-distribution solve did not meet its residual tolerance."""
+    """A numeric check missed its tolerance."""
 
     def __init__(self, message: str, residual: float):
         self.residual = residual

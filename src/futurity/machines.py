@@ -185,4 +185,8 @@ def parse_machine_text(text: str) -> tuple[MultipointDistribution, MultipointDis
 
 
 def load_machine_file(path: str | Path) -> tuple[MultipointDistribution, MultipointDistribution]:
-    return parse_machine_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidDistribution(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return parse_machine_text(text)

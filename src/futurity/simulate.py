@@ -28,9 +28,8 @@ position's column holds its arm's cumulative probabilities without the last
 one, padded with +inf, and a coup's entry in one flat reward table is the
 column's base offset plus the count of thresholds its uniform reaches. For
 sorted thresholds that count is searchsorted(cumulative, u, side="right"),
-and dropping the last cumulative value clips it to K - 1, so the payouts
-are those of a per-arm searchsorted followed by a clip, bit for bit, also
-with zero-probability entries and with sums just short of 1.
+and dropping the last cumulative value caps it at K - 1, also with
+zero-probability entries (tied thresholds) and with sums just short of 1.
 
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
@@ -61,7 +60,7 @@ import numpy as np
 from .chain import ChainSpec, _check_threshold
 from .errors import DomainError
 from .formulas import ArmProbabilities, _check_gamma, fair_payout
-from .machines import MultipointDistribution, TwoPointArm
+from .machines import TwoPointArm
 
 #: Coups drawn and reduced per kernel step.
 CHUNK = 1 << 17
@@ -202,12 +201,10 @@ def _entry_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
             cumulative.append([arm.p])
             rewards.append([arm.u, 0.0])
             wins.append([True, False])
-        elif isinstance(arm, MultipointDistribution):
+        else:
             cumulative.append(np.cumsum([prob for _, prob in arm.entries])[:-1])
             rewards.append([reward for reward, _ in arm.entries])
             wins.append([reward > 0.0 for reward, _ in arm.entries])
-        else:
-            raise DomainError(f"unsupported arm model {type(arm).__name__}")
     thresholds = np.full((max(map(len, cumulative)), len(labels)), np.inf)
     for column, values in enumerate(cumulative):
         thresholds[: len(values), column] = values

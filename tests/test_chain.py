@@ -96,6 +96,12 @@ class TestChainSpec:
                 ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=j)
         assert ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=3.0).j == 3
 
+    @pytest.mark.parametrize("arm", [0.5, "A", None])
+    def test_non_arm_model_refused(self, arm):
+        # refused when the spec is built, so no route meets it later
+        with pytest.raises(DomainError, match="not an arm model"):
+            ChainSpec(sequence=("A",), arms={"A": arm}, j=2)
+
     def test_single_arm_allowed(self):
         spec = single_arm_chain(0.5)
         assert spec.n == 1 and spec.j == 2

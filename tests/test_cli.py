@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from futurity import chain, format_machine_file, mills_modes, simulate
+from futurity import SolverFailure, chain, cli, format_machine_file, mills_modes, simulate
 from futurity.cli import UsageError, _grid, main
 
 
@@ -19,6 +20,17 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON constant {token}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def assert_one_line(err, prefix):
+    """The run failed with one stderr line starting with prefix, no traceback."""
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def unreachable(*args):
+    raise AssertionError("a coup was drawn before the input was checked")
 
 
 def csv_rows(text):
@@ -111,6 +123,17 @@ class TestSweep:
         assert len(rows) == 9
         assert {row[2] for row in rows} == {"0.5"}
 
+    @pytest.mark.parametrize("fix_pb", ["0", "1", "nan", "1e-17"])
+    def test_fix_pb_out_of_range_exits_2(self, capsys, tmp_path, fix_pb):
+        out_path = tmp_path / "slice.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--strategy", "AB", "--fix-pb", fix_pb, "--out", str(out_path)
+        )
+        assert code == 2
+        assert_one_line(err, "error: p_b must lie")
+        assert out == ""
+        assert not out_path.exists()
+
     def test_multiple_strategies_sorted(self, capsys, tmp_path):
         out_path = tmp_path / "multi.csv"
         code, _, _ = run_cli(
@@ -185,6 +208,17 @@ class TestRandomSweep:
         header, rows = csv_rows(out_path.read_text(encoding="utf-8"))
         assert header[-1] == "r_c_uncorrected_sign"
         assert float(rows[0][4]) == -float(rows[0][3])
+
+    @pytest.mark.parametrize("gamma", ["-0.1", "1.5", "nan", "inf"])
+    def test_gamma_out_of_range_exits_2(self, capsys, tmp_path, gamma):
+        out_path = tmp_path / "random.csv"
+        code, out, err = run_cli(
+            capsys, "random-sweep", "--gamma", "0.5", "--gamma", gamma, "--out", str(out_path)
+        )
+        assert code == 2
+        assert_one_line(err, "error: gamma must lie")
+        assert out == ""
+        assert not out_path.exists()
 
 
 class TestSimulate:
@@ -524,3 +558,85 @@ class TestMachineInfo:
         assert code == 2
         assert "cap" in err
         assert out == ""
+
+
+class TestBadFiles:
+    def test_missing_machine_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "machine-info", "--machine", str(tmp_path / "absent.machine"))
+        assert code == 2
+        assert_one_line(err, "error:")
+        assert "absent.machine" in err
+        assert out == ""
+
+    def test_machine_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.machine"
+        path.write_bytes("0 0.5\n2 0.5\n\n# caf\u00e9\n0 0.25\n1.5 0.75\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "machine-info", "--machine", str(path))
+        assert code == 2
+        assert_one_line(err, "error:")
+        assert str(path) in err and "UTF-8" in err
+        assert out == ""
+
+    def test_sweep_out_in_missing_directory(self, capsys, tmp_path):
+        out_path = tmp_path / "absent" / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--strategy", "AB", "--out", str(out_path))
+        assert code == 2
+        assert_one_line(err, "error:")
+        assert str(out_path) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    @pytest.mark.parametrize("command", ["simulate", "trajectory"])
+    def test_out_refused_before_drawing(self, capsys, tmp_path, monkeypatch, command, where):
+        monkeypatch.setattr(simulate, "_pattern_chunks", unreachable)
+        out_path = tmp_path if where == "directory" else tmp_path / "absent" / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            *TestBadSeeds.RUN_FLAGS[command], "--seed", "1", "--out", str(out_path),
+        )
+        assert code == 2
+        assert_one_line(err, f"error: --out {out_path}")
+        assert out == ""
+
+
+class TestNumericFailure:
+    @pytest.fixture
+    def skewed_oracle(self, monkeypatch):
+        """The oracle's profit moved by 1e-6, far beyond the 1e-9 agreement gate."""
+        exact_oracle = cli.oracle_profit
+
+        def skewed(spec, *args, **kwargs):
+            solution = exact_oracle(spec, *args, **kwargs)
+            return dataclasses.replace(solution, casino_profit=solution.casino_profit + 1e-6)
+
+        monkeypatch.setattr(cli, "oracle_profit", skewed)
+
+    def test_exact_prints_then_exits_3(self, capsys, skewed_oracle):
+        code, out, err = run_cli(capsys, "exact", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7")
+        assert code == 3
+        assert "profit R" in out and "oracle R" in out
+        assert_one_line(err, "numeric failure:")
+
+    def test_sweep_writes_no_rows(self, capsys, tmp_path, skewed_oracle):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(capsys, "sweep", "--strategy", "AB", "--out", str(out_path))
+        assert code == 3
+        assert_one_line(err, "numeric failure:")
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_simulate_solver_failure_before_drawing(self, capsys, tmp_path, monkeypatch):
+        def failing(*args):
+            raise SolverFailure("streak recurrence did not close over one period", 1.0)
+
+        monkeypatch.setattr(chain, "_streak_distributions", failing)
+        monkeypatch.setattr(simulate, "_pattern_chunks", unreachable)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100", "--reps", "4", "--seed", "1", "--out", str(out_path),
+        )
+        assert code == 3
+        assert_one_line(err, "numeric failure:")
+        assert out == ""
+        assert not out_path.exists()
