@@ -59,7 +59,7 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _check_out(out: str | None) -> None:
-    """Refuse an --out path that cannot be written, before the run is drawn."""
+    """Refuse an --out path that cannot be written, before any row is computed."""
     if out is not None and Path(out).is_dir():
         raise UsageError(f"--out {out} is a directory")
     if out is not None and not Path(out).parent.is_dir():
@@ -193,6 +193,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_out(args.out)
     strategies = {s.text(): s for s in map(parse_strategy, args.strategy)}
     p_a_values = _grid(args.grid_step)
     p_b_values = [args.fix_pb] if args.fix_pb is not None else p_a_values
@@ -223,6 +224,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_random_sweep(args) -> int:
+    _check_out(args.out)
     gammas = sorted(args.gamma) if args.gamma else [0.1, 0.3, 0.5, 0.7, 0.9]
     values = _grid(args.grid_step)
 

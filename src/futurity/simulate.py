@@ -22,14 +22,26 @@ chunk's end carries into the next one. This is a streak walk, bit for
 bit: the counts are integers, and an award coup is a loss that pays 0, so
 stake - payout is the walk's (1 - payout) - J.
 
+A trajectory with integer payouts, such as the raw Mills modes, has every
+running total an integer; while coups * (J + largest payout) < 2**53 each
+one is exact in float64, in any order of summation. Its marks are then read
+off the ledger, coups - J * awards - payouts at each mark, from a prefix
+sum of the per-byte award counts, a table of award counts of each byte's
+first coups, and one payout sum per segment between marks: no per-coup
+stake and no running sum. Any other trajectory is the sequential running
+sum of per-coup profit, each coup's stake from the byte table minus its
+payout.
+
 A pattern of two-point arms is sampled as u < p, one broadcast comparison.
-Any other pattern goes through one inverse CDF over the whole chunk: each
-position's column holds its arm's cumulative probabilities without the last
-one, padded with +inf, and a coup's entry in one flat reward table is the
-column's base offset plus the count of thresholds its uniform reaches. For
-sorted thresholds that count is searchsorted(cumulative, u, side="right"),
-and dropping the last cumulative value caps it at K - 1, also with
-zero-probability entries (tied thresholds) and with sums just short of 1.
+Any other pattern goes through its arms' inverse CDFs: an arm's entry for a
+uniform u is the count of its thresholds, the cumulative probabilities
+without the last one, that u reaches, searchsorted(thresholds, u,
+side="right"); dropping the last cumulative value caps it at K - 1, also
+with zero-probability entries (tied thresholds) and with sums just short of
+1. A guide table per arm splits [0, 1) into 2**12 equal bins and holds the
+win flag and payout of each bin no threshold splits, so most coups take two
+table reads keyed by floor(u * 2**12); the few in a split bin, at most
+K - 1 in 2**12, count their thresholds exactly.
 
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
@@ -44,7 +56,9 @@ outcomes; it reads them in chunks through two generators on the same seed,
 the second advanced past the picks. Chunking changes no output: trajectories
 equal a whole-run computation bit for bit, and so do ledgers of up to CHUNK
 coups. Above that, the integer counts stay exact and win_payouts may differ
-only by the rounding of chunk-wise sums.
+only by the rounding of chunk-wise sums. An integer-payout trajectory is
+read off the ledger, so its last row equals the ledger's profit by
+construction.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -72,6 +86,10 @@ MAX_WORKERS = 64
 MAX_TRAJECTORY_POINTS = 10**7
 # Coups per row of a pattern chunk, before rounding up to whole periods.
 _ROW = 1 << 12
+# Equal bins of [0, 1) in an arm's guide table (_bin_table).
+_BINS = 1 << 12
+# Every integer below this is exact in float64.
+_EXACT_LIMIT = 1 << 53
 
 _scratch = threading.local()
 
@@ -171,9 +189,9 @@ def _scratch_array(size: int, dtype, name: str = "") -> np.ndarray:
     """This thread's `dtype` buffer, `size` long, reused from run to run.
 
     Faulting in fresh pages costs more than the kernel's arithmetic on
-    them, so each thread draws uniforms, counts entry indices, writes
-    payouts and reduces win bytes into one buffer per dtype, or per `name`
-    where one chunk needs two of a dtype, instead of allocating per run.
+    them, so each thread draws uniforms, looks up bins, writes payouts and
+    reduces win bytes into one buffer per dtype, or per `name` where one
+    chunk needs two of a dtype, instead of allocating per run.
     """
     dtype = np.dtype(dtype)
     name = name or dtype.name
@@ -184,27 +202,32 @@ def _scratch_array(size: int, dtype, name: str = "") -> np.ndarray:
     return buffer[:size]
 
 
+def _arm_entries(arm) -> tuple[np.ndarray, list[float], list[bool]]:
+    """An arm's inverse-CDF thresholds, its rewards and its win flags.
+
+    The thresholds are the arm's cumulative probabilities without the last
+    one, so the count of those <= u, searchsorted(thresholds, u,
+    side="right"), is the entry of uniform u, clipped to K - 1. A two-point
+    arm is the table (u, win), (0, loss) with the one threshold p, so it
+    wins when u < p even if it pays nothing; a multipoint entry wins when
+    its reward is positive.
+    """
+    if isinstance(arm, TwoPointArm):
+        return np.array([arm.p]), [arm.u, 0.0], [True, False]
+    rewards = [reward for reward, _ in arm.entries]
+    thresholds = np.cumsum([prob for _, prob in arm.entries])[:-1]
+    return thresholds, rewards, [reward > 0.0 for reward in rewards]
+
+
 def _entry_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Inverse-CDF tables of one pattern period, one column per position.
 
     Returns the (K_max - 1) x n threshold matrix, each column's base offset
     into the flat entry tables, and the flat rewards and win flags. A
-    column holds its arm's cumulative probabilities without the last one,
-    padded with +inf. A two-point arm is the table (u, win), (0, loss) with
-    the one threshold p, so it wins when u < p even if it pays nothing; a
-    multipoint entry wins when its reward is positive.
+    column holds its arm's thresholds (_arm_entries), padded with +inf.
     """
     labels = list(dict.fromkeys(spec.sequence))
-    cumulative, rewards, wins = [], [], []
-    for arm in map(spec.arms.get, labels):
-        if isinstance(arm, TwoPointArm):
-            cumulative.append([arm.p])
-            rewards.append([arm.u, 0.0])
-            wins.append([True, False])
-        else:
-            cumulative.append(np.cumsum([prob for _, prob in arm.entries])[:-1])
-            rewards.append([reward for reward, _ in arm.entries])
-            wins.append([reward > 0.0 for reward, _ in arm.entries])
+    cumulative, rewards, wins = zip(*(_arm_entries(spec.arms[label]) for label in labels))
     thresholds = np.full((max(map(len, cumulative)), len(labels)), np.inf)
     for column, values in enumerate(cumulative):
         thresholds[: len(values), column] = values
@@ -213,25 +236,63 @@ def _entry_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return thresholds[:, codes], offsets[codes], np.concatenate(rewards), np.concatenate(wins)
 
 
-def _entry_index(rows: np.ndarray, thresholds: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Flat entry index of each uniform: its column's base plus the thresholds it reaches.
+@functools.lru_cache(maxsize=64)
+def _bin_table(arm) -> tuple[np.ndarray, np.ndarray]:
+    """Win flag and payout of each of the _BINS equal bins of [0, 1) for one arm.
 
-    A column's thresholds are sorted, so the count of those <= u equals
-    searchsorted(cumulative, u, side="right"); leaving the last cumulative
-    probability out clips that count to K - 1, and the +inf padding never
-    counts. The count accumulates in the narrowest unsigned type that holds
-    K_max - 1 (a byte for up to 255 thresholds), so each pass adds the
-    comparison's bytes without a cast; the base is added once, into this
-    thread's intp buffer.
+    Bin b holds the uniforms in [b, b + 1) / _BINS. Its first uniform
+    reaches searchsorted(thresholds, b / _BINS, "right") thresholds and its
+    last searchsorted(thresholds, (b + 1) / _BINS, "left"); where the two
+    agree, every uniform of the bin has that entry, and the bin holds its
+    win flag (0 or 1) and reward. A bin a threshold splits has flag 2. Both
+    tables are read-only.
     """
-    reached = _scratch_array(rows.size, bool).reshape(rows.shape)
-    counts = _scratch_array(rows.size, np.min_scalar_type(len(thresholds))).reshape(rows.shape)
-    counts.fill(0)
-    for threshold in thresholds:
-        np.greater_equal(rows, threshold, out=reached)
-        np.add(counts, reached.view(np.uint8), out=counts)
-    index = _scratch_array(rows.size, np.intp).reshape(rows.shape)
-    return np.add(base, counts, out=index)
+    thresholds, rewards, wins = _arm_entries(arm)
+    edges = np.arange(_BINS + 1) / _BINS
+    first = np.searchsorted(thresholds, edges[:-1], side="right")
+    last = np.searchsorted(thresholds, edges[1:], side="left")
+    flags = np.where(first == last, np.array(wins, np.uint8)[first], 2).astype(np.uint8)
+    payouts = np.array(rewards, float)[first]
+    flags.flags.writeable = payouts.flags.writeable = False
+    return flags, payouts
+
+
+def _table_sampler(spec: ChainSpec, row: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Sampler of a pattern through its arms' bin tables (_bin_table).
+
+    The returned function takes a stack of rows, each `row` uniforms of
+    whole pattern periods, returns their win mask and writes their payouts
+    over them. A uniform's bin is floor(u * _BINS), exact for a power of
+    two, plus its arm's table offset. One take reads the win flags and one
+    the payouts; the few uniforms in split bins, at most K - 1 of every
+    _BINS, get the exact threshold count from _entry_tables.
+    """
+    labels = list(dict.fromkeys(spec.sequence))
+    tables = [_bin_table(spec.arms[label]) for label in labels]
+    flags = np.concatenate([flags for flags, _ in tables])
+    payouts = np.concatenate([payouts for _, payouts in tables])
+    offsets = np.tile([labels.index(label) * _BINS for label in spec.sequence], row // spec.n)
+    thresholds, base, rewards, wins = _entry_tables(spec)
+
+    def sample(rows: np.ndarray) -> np.ndarray:
+        bins = _scratch_array(rows.size, np.intp, "bins").reshape(rows.shape)
+        np.multiply(rows, _BINS, out=bins, casting="unsafe")
+        np.add(bins, offsets, out=bins)
+        # Every bin is in range; "clip" skips the check that would buffer `out`.
+        win = _scratch_array(rows.size, np.uint8, "flags").reshape(rows.shape)
+        np.take(flags, bins, out=win, mode="clip")
+        split = _scratch_array(rows.size, bool, "split").reshape(rows.shape)
+        split = np.flatnonzero(np.equal(win, 2, out=split))
+        uniforms = rows.ravel()[split]
+        np.take(payouts, bins, out=rows, mode="clip")
+        if split.size:
+            column = split % spec.n
+            entry = base[column] + np.count_nonzero(thresholds[:, column] <= uniforms, axis=0)
+            rows.ravel()[split] = rewards[entry]
+            win.ravel()[split] = wins[entry]
+        return win.view(bool)
+
+    return sample
 
 
 def _pattern_chunks(spec: ChainSpec, coups: int, seed: int) -> _Chunks:
@@ -260,20 +321,15 @@ def _pattern_chunks(spec: ChainSpec, coups: int, seed: int) -> _Chunks:
             return win
 
     else:
-        thresholds, base, rewards, wins = _entry_tables(spec)
-        thresholds = np.tile(thresholds, row // n)
-        base = np.tile(base, row // n)
-
-        def sample(rows: np.ndarray) -> np.ndarray:
-            index = _entry_index(rows, thresholds, base)
-            # Every index is in range; "clip" skips the check that would buffer `out`.
-            np.take(rewards, index, out=rows, mode="clip")
-            return np.take(wins, index, mode="clip")
+        sample = _table_sampler(spec, row)
 
     for start in range(0, coups, step):
         k = min(step, coups - start)
+        rows = grid[: -(-k // row)]
         rng.random(out=uniforms[:k])
-        win = sample(grid[: -(-k // row)])
+        # The last row's tail past the run holds old payouts; the bin sampler reads uniforms only.
+        rows.ravel()[k:] = 0.0
+        win = sample(rows)
         yield win.ravel()[:k], uniforms[:k]
 
 
@@ -335,6 +391,18 @@ def _award_tables(j: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, stakes
 
 
+@functools.lru_cache(maxsize=16)
+def _award_prefix(j: int) -> np.ndarray:
+    """Awards among the first r coups of a byte, keyed by (phase*256 + byte, r), r = 0..8.
+
+    Column 8 is _award_tables' count; the table is read-only.
+    """
+    prefix = np.zeros((9 * 256, 9), np.intp)
+    np.cumsum(_award_tables(j)[1] != 1.0, axis=1, dtype=np.intp, out=prefix[:, 1:])
+    prefix.flags.writeable = False
+    return prefix
+
+
 def _byte_starts(size: int) -> np.ndarray:
     """0, 8, 16, ...: the first coup of each of `size` bytes, this thread's copy."""
     starts = getattr(_scratch, "byte_starts", None)
@@ -378,13 +446,17 @@ def _awards(win: np.ndarray, j: int, losses: int) -> tuple[np.ndarray, int, int]
     return keys, events, win.size - 1 - int(last[-1])
 
 
-def _play(chunks: _Chunks, j: int, stride: int = 0) -> tuple[Ledger, np.ndarray | None]:
+def _play(
+    chunks: _Chunks, j: int, stride: int = 0, exact: bool = False
+) -> tuple[Ledger, np.ndarray | None]:
     """Reduce a run, chunk by chunk, to its ledger and, given a stride, its trajectory.
 
-    Awards come from the chunk's win bytes (_awards), and a trajectory's
-    per-coup profit is each coup's stake from the byte table minus its
-    payout. Trajectory values are the running sum of per-coup profit at
-    coups stride, 2*stride, ...; a chunk's payouts are overwritten by it.
+    Trajectory values are the cumulative profit at coups stride,
+    2*stride, ... With `exact`, which needs integer payouts whose every
+    running total is exact in float64, each value is read off the ledger at
+    its mark (_ledger_marks). Otherwise it is the sequential running sum of
+    per-coup profit, each coup's stake from the byte table minus its
+    payout; a chunk's payouts are overwritten by it.
     """
     stakes = _award_tables(j)[1]
     start = losses = wins = events = 0
@@ -393,15 +465,18 @@ def _play(chunks: _Chunks, j: int, stride: int = 0) -> tuple[Ledger, np.ndarray 
     for win, payout in chunks:
         k = win.size
         keys, awards, losses = _awards(win, j, losses)
+        marks = np.arange(stride - 1 - start % stride, k, stride) if stride else None
+        if exact and marks.size:
+            values.append(_ledger_marks(keys, payout, marks, j, start, events, payouts))
         payouts += float(payout.sum())
-        if stride:
+        if stride and not exact:
             rows = _scratch_array(8 * keys.size, float, "stakes").reshape(-1, 8)
             np.take(stakes, keys, axis=0, out=rows, mode="clip")
             per_coup = np.subtract(rows.ravel()[:k], payout, out=payout)
             per_coup[0] += total
             cumulative = np.cumsum(per_coup, out=per_coup)
             total = cumulative[-1]
-            values.append(cumulative[stride - 1 - start % stride :: stride].copy())
+            values.append(cumulative[marks])
         wins += int(np.count_nonzero(win))
         events += awards
         start += k
@@ -417,6 +492,38 @@ def _play(chunks: _Chunks, j: int, stride: int = 0) -> tuple[Ledger, np.ndarray 
     return ledger, np.concatenate(values) if stride else None
 
 
+def _ledger_marks(
+    keys: np.ndarray,
+    payout: np.ndarray,
+    marks: np.ndarray,
+    j: int,
+    start: int,
+    events: int,
+    payouts: float,
+) -> np.ndarray:
+    """Cumulative profit at a chunk's marks, read off the ledger: coups - J * awards - payouts.
+
+    The chunk starts after `start` coups, `events` awards and `payouts`
+    coins paid. A mark's awards are those of the chunk's bytes before its
+    byte, a prefix sum of the per-byte counts, plus the award count of its
+    byte's first coups (_award_prefix). Its payouts are a sum per segment
+    between marks, then a running sum over the marks. With integer payouts
+    and every total below 2**53 each step is exact, so the values equal the
+    sequential running sum bit for bit.
+    """
+    counts = _award_tables(j)[0]
+    byte_awards = _scratch_array(keys.size + 1, np.intp, "byte_awards")
+    # A prefix from 0, not reduceat, which gives the element itself for an empty segment.
+    byte_awards[0] = 0
+    np.cumsum(counts[keys], dtype=np.intp, out=byte_awards[1:])
+    byte = marks >> 3
+    awards = events + byte_awards[byte] + _award_prefix(j)[keys[byte], (marks & 7) + 1]
+    segments = np.add.reduceat(payout[: marks[-1] + 1], np.concatenate(([0], marks[:-1] + 1)))
+    paid = np.cumsum(segments, out=segments)
+    paid += payouts
+    return (start + 1 + marks - j * awards) - paid
+
+
 def simulate_once(spec: ChainSpec, coups: int, seed: int) -> Ledger:
     """Play `coups` coups of the pattern; deterministic given (spec, coups, seed)."""
     _check_count("coups", coups)
@@ -427,12 +534,14 @@ def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -
     """Cumulative casino profit sampled every `stride` coups.
 
     Returns an array of (coup index, cumulative profit) rows at coups
-    stride, 2*stride, ... With the same seed, and stride dividing coups,
-    the final row equals simulate_once's casino_profit_total exactly when
-    every payout is an integer, as with the raw Mills modes. With
-    fractional payouts the sequential running sum and the ledger's pairwise
-    payout sum round apart: on fair AB at (0.3, 0.7), seed 3, by 2.9e-9 at
-    10**5 coups, 5.7e-7 at 10**6 and 2.0e-5 at 10**7.
+    stride, 2*stride, ... When every payout is an integer, as with the raw
+    Mills modes, and coups * (J + largest payout) < 2**53, each row is read
+    off the ledger at its coup; with the same seed, and stride dividing
+    coups, the final row equals simulate_once's casino_profit_total by
+    construction. Otherwise the rows are a sequential running sum, which
+    rounds apart from the ledger's pairwise payout sum with fractional
+    payouts: on fair AB at (0.3, 0.7), seed 3, by 2.9e-9 at 10**5 coups,
+    5.7e-7 at 10**6 and 2.0e-5 at 10**7.
     """
     _check_count("coups", coups)
     _check_count("stride", stride)
@@ -442,7 +551,11 @@ def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -
         raise DomainError(
             f"{coups // stride} trajectory points exceed cap {MAX_TRAJECTORY_POINTS}; raise the stride"
         )
-    _, values = _play(_pattern_chunks(spec, coups, seed), spec.j, stride)
+    paid = [reward for label in set(spec.sequence) for reward in _arm_entries(spec.arms[label])[1]]
+    exact = all(float(reward).is_integer() for reward in paid) and (
+        coups * (spec.j + int(max(paid))) < _EXACT_LIMIT
+    )
+    _, values = _play(_pattern_chunks(spec, coups, seed), spec.j, stride, exact)
     return np.column_stack([np.arange(stride, coups + 1, stride), values])
 
 

@@ -598,6 +598,18 @@ class TestBadFiles:
         assert_one_line(err, f"error: --out {out_path}")
         assert out == ""
 
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    @pytest.mark.parametrize("command", ["sweep", "random-sweep"])
+    def test_out_refused_before_rows(self, capsys, tmp_path, monkeypatch, command, where):
+        monkeypatch.setattr(cli, "_checked_profit", unreachable)
+        monkeypatch.setattr(cli, "random_mix_profit", unreachable)
+        out_path = tmp_path if where == "directory" else tmp_path / "absent" / "out.csv"
+        flags = ["--strategy", "AB"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, *flags, "--out", str(out_path))
+        assert code == 2
+        assert_one_line(err, f"error: --out {out_path}")
+        assert out == ""
+
 
 class TestNumericFailure:
     @pytest.fixture

@@ -11,6 +11,7 @@ from futurity import (
     ArmProbabilities,
     ChainSpec,
     DomainError,
+    MultipointDistribution,
     SimConfig,
     TwoPointArm,
     cumulative_trajectory,
@@ -256,6 +257,16 @@ class TestChunkBoundaries:
                 trajectory = cumulative_trajectory(spec, self.COUPS, seed, stride=1)
                 assert np.allclose(trajectory[:, 1], np.cumsum(profits), rtol=0, atol=1e-9)
 
+    def test_short_row_after_huge_payouts(self, monkeypatch):
+        # The last chunk's short row runs past the run into the previous
+        # chunk's payouts; scaled into bins, 1e17 would overflow the cast.
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        arm = MultipointDistribution(((0.0, 0.5), (1e17, 0.5)))
+        spec = ChainSpec(sequence=("A",), arms={"A": arm}, j=2)
+        ledger = simulate_once(spec, 1500, 8)
+        wins, payouts, awards, _ = scalar_reference(spec, 1500, 8)
+        assert (ledger.win_count, ledger.futurity_events, ledger.win_payouts) == (wins, awards, payouts)
+
     def test_mixture_stream(self, monkeypatch):
         coups, seed, gamma = self.COUPS, 31, 0.4
         wins, payout, awards = mixture_reference(gamma, self.LOW, coups, seed, j=3)
@@ -274,15 +285,15 @@ class TestChunkBoundaries:
         assert large < 8 * 16 * simulate.CHUNK / 4
 
     def test_multipoint_trajectory_memory_does_not_grow_with_coups(self):
-        # The threshold matrix is built once per run and the entry-index
-        # buffers once per thread, so neither grows with the run.
+        # The bin tables are built once per arm and the sampler's bin, flag
+        # and split buffers once per thread, so neither grows with the run.
         mode_e, mode_o = mills_modes()
         spec = ChainSpec(sequence=tuple("AAABB"), arms={"A": mode_e, "B": mode_o}, j=2)
         small, large = trajectory_peaks(spec)
         assert large < 1.25 * small
         assert large < 8 * 16 * simulate.CHUNK / 4
         buffers = dict(vars(simulate._scratch))
-        assert {np.dtype(t).name for t in (float, bool, np.uint8, np.intp)} <= set(buffers)
+        assert {np.dtype(float).name, "bins", "flags", "split", "byte_awards"} <= set(buffers)
         cumulative_trajectory(spec, 16 * simulate.CHUNK, 6, stride=simulate.CHUNK)
         assert all(vars(simulate._scratch)[name] is buffer for name, buffer in buffers.items())
 
@@ -422,6 +433,68 @@ class TestTrajectory:
             cumulative_trajectory(spec, 100, 3, stride=101)
         with pytest.raises(DomainError, match="integer"):
             cumulative_trajectory(spec, 100, 3, stride=2.5)
+
+
+class TestLedgerMarks:
+    """The exact trajectory path (marks read off the ledger) against the sequential running sum.
+
+    The chunk shrinks to 1000 coups: 1000 for AB and AAABB, 1002 for AAB,
+    whose chunks end inside a byte. Stride 7 puts marks inside bytes,
+    stride 8 on their last coups, and a stride of one chunk on each
+    chunk's last coup.
+    """
+
+    CHUNK = 1000
+    COUPS = 7_919
+
+    def specs(self):
+        mode_e, mode_o = mills_modes()
+        for j in (2, 3, 11):
+            for text in ("AB", "AAABB", "AAB"):
+                yield ChainSpec(sequence=tuple(text), arms={"A": mode_e, "B": mode_o}, j=j)
+            yield ChainSpec(sequence=tuple("AAB"), arms={"A": mode_e, "B": TwoPointArm(0.4, 2.0)}, j=j)
+
+    @staticmethod
+    def trajectory(spec, coups, seed, stride, exact):
+        chunks = simulate._pattern_chunks(spec, coups, seed)
+        return simulate._play(chunks, spec.j, stride, exact)[1]
+
+    def test_paths_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        for spec in self.specs():
+            chunk = -(-self.CHUNK // spec.n) * spec.n
+            for coups in (1, 8, 9, self.COUPS):
+                for stride in {1, 7, 8, 1000, chunk, coups}:
+                    if stride > coups:
+                        continue
+                    seed = coups + stride + spec.j
+                    exact = self.trajectory(spec, coups, seed, stride, exact=True)
+                    assert np.array_equal(exact, self.trajectory(spec, coups, seed, stride, exact=False))
+                    assert np.array_equal(cumulative_trajectory(spec, coups, seed, stride)[:, 1], exact)
+            # The last coup's mark is the ledger, by construction.
+            ledger = simulate_once(spec, self.COUPS, 5)
+            assert cumulative_trajectory(spec, self.COUPS, 5, self.COUPS)[-1, 1] == ledger.casino_profit_total
+
+    def test_path_choice(self, monkeypatch):
+        def exact_path(*args):
+            raise AssertionError("exact path")
+
+        monkeypatch.setattr(simulate, "_ledger_marks", exact_path)
+        mode_e, mode_o = mills_modes()
+        mills = ChainSpec(sequence=("A", "B"), arms={"A": mode_e, "B": mode_o}, j=2)
+        with pytest.raises(AssertionError, match="exact path"):
+            cumulative_trajectory(mills, 1000, 1, 10)
+        fractional = [
+            fair_chain(parse_strategy("AB"), PROBS),
+            ChainSpec(sequence=("A", "B"), arms={"A": mode_e, "B": TwoPointArm(0.4, 2.5)}, j=2),
+        ]
+        for spec in fractional:
+            cumulative_trajectory(spec, 1000, 1, 10)
+        # 1000 coups * (J + 150) reach a limit of 1000 * 152: sequential.
+        monkeypatch.setattr(simulate, "_EXACT_LIMIT", 1000 * 152)
+        cumulative_trajectory(mills, 1000, 1, 10)
+        with pytest.raises(AssertionError, match="exact path"):
+            cumulative_trajectory(mills, 999, 1, 10)
 
 
 def assert_statistically_close(grand_mean, oracle, standard_error, context):
