@@ -6,7 +6,7 @@ J-th consecutive loss lands. Everything is ledger accounted: casino profit
 is stakes minus win payouts minus futurity refunds, which stays correct for
 fractional payouts where counting wins would not.
 
-One kernel plays every run. A sampler turns the run's uniforms into a win
+One kernel plays every run. A sampler turns the run's draws into a win
 mask and payouts, CHUNK coups at a time (a pattern run rounds the chunk up
 to whole pattern periods), and the kernel reduces each chunk before the
 next is drawn. A run of any length therefore needs O(CHUNK) memory, plus
@@ -25,23 +25,27 @@ stake - payout is the walk's (1 - payout) - J.
 A trajectory with integer payouts, such as the raw Mills modes, has every
 running total an integer; while coups * (J + largest payout) < 2**53 each
 one is exact in float64, in any order of summation. Its marks are then read
-off the ledger, coups - J * awards - payouts at each mark, from a prefix
-sum of the per-byte award counts, a table of award counts of each byte's
-first coups, and one payout sum per segment between marks: no per-coup
-stake and no running sum. Any other trajectory is the sequential running
-sum of per-coup profit, each coup's stake from the byte table minus its
-payout.
+off the ledger, coups - J * awards - payouts at each mark: running sums of
+the per-byte award counts and of the payouts up to each mark, one sum per
+segment between marks (one cumsum where marks are dense), and a table of
+award counts of each byte's first coups. No per-coup stake and no running
+sum over the coups. Any other trajectory is the sequential running sum of
+per-coup profit, each coup's stake from the byte table minus its payout. A
+trajectory forms no ledger: no win count and no separate payout total.
 
-A pattern of two-point arms is sampled as u < p, one broadcast comparison.
-Any other pattern goes through its arms' inverse CDFs: an arm's entry for a
-uniform u is the count of its thresholds, the cumulative probabilities
-without the last one, that u reaches, searchsorted(thresholds, u,
-side="right"); dropping the last cumulative value caps it at K - 1, also
-with zero-probability entries (tied thresholds) and with sums just short of
-1. A guide table per arm splits [0, 1) into 2**12 equal bins and holds the
-win flag and payout of each bin no threshold splits, so most coups take two
-table reads keyed by floor(u * 2**12); the few in a split bin, at most
-K - 1 in 2**12, count their thresholds exactly.
+A pattern of two-point arms is sampled as u < p, one broadcast comparison
+on Generator.random's uniforms. Any other pattern goes through its arms'
+inverse CDFs, on raw PCG64 words: an arm's entry for a uniform u is the
+count of its thresholds, the cumulative probabilities without the last
+one, that u reaches, searchsorted(thresholds, u, side="right"); dropping
+the last cumulative value caps it at K - 1, also with zero-probability
+entries (tied thresholds) and with sums just short of 1. A guide table per
+arm splits [0, 1) into 2**12 equal bins and holds the signed reward of each
+bin no threshold splits, NaN in the others: a win's reward, +0.0 for a
+loss and -0.0 for a win that pays nothing. A word's bin is its top 12
+bits, so most coups take one table read, and a coup wins where its
+payout's bits are nonzero. The few in a split bin, at most K - 1 in 2**12,
+count their thresholds exactly at the word's uniform.
 
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
@@ -49,16 +53,23 @@ is the SplitMix64 finalizer. Sub-seeds therefore depend only on (m, k), so
 replications can run on any number of workers in any order and aggregate to
 bit-identical results. Seeds are integers in [0, 2**64).
 
-A pattern run reads one uniform per coup, in coup order; drawing them in
-chunks reads the same stream as one draw of M uniforms. A mixture run of M
-coups reads 2M uniforms from its stream, first the M arm picks, then the M
-outcomes; it reads them in chunks through two generators on the same seed,
-the second advanced past the picks. Chunking changes no output: trajectories
-equal a whole-run computation bit for bit, and so do ledgers of up to CHUNK
-coups. Above that, the integer counts stay exact and win_payouts may differ
-only by the rounding of chunk-wise sums. An integer-payout trajectory is
-read off the ledger, so its last row equals the ledger's profit by
-construction.
+A pattern run reads one 64-bit PCG64 word per coup, in coup order; the
+coup's uniform is (w >> 11) * 2**-53, bit for bit what Generator.random
+returns for that word. Drawing the words in chunks reads the same stream
+as one draw of M. A table-sampled run draws whole rows of words, so up to
+row - 1 words past the run's end are drawn and never read; nothing reads
+the stream after the run. Two-point and mixture runs keep Generator.random's
+float draws, because they compare each uniform with p: made from raw words
+in numpy, the uniforms cost more than Generator.random's own conversion
+(a serial 64 x 100k replicate of fair AAABB ran 13-19% slower).
+A mixture run of M coups reads 2M uniforms from its stream, first the M arm
+picks, then the M outcomes; it reads them in chunks through two generators
+on the same seed, the second advanced past the picks. Chunking changes no
+output: trajectories equal a whole-run computation bit for bit, and so do
+ledgers of up to CHUNK coups. Above that, the integer counts stay exact and
+win_payouts may differ only by the rounding of chunk-wise sums. An
+integer-payout trajectory is read off the ledger, so its last row equals
+the ledger's profit by construction.
 """
 
 from __future__ import annotations
@@ -88,6 +99,10 @@ MAX_TRAJECTORY_POINTS = 10**7
 _ROW = 1 << 12
 # Equal bins of [0, 1) in an arm's guide table (_bin_table).
 _BINS = 1 << 12
+# A raw PCG64 word's bin is its top 12 bits.
+_BIN_SHIFT = 64 - 12
+# Running sums to marks denser than one in this many values take one cumsum (_sums_before).
+_DENSE = 3
 # Every integer below this is exact in float64.
 _EXACT_LIMIT = 1 << 53
 
@@ -219,118 +234,108 @@ def _arm_entries(arm) -> tuple[np.ndarray, list[float], list[bool]]:
     return thresholds, rewards, [reward > 0.0 for reward in rewards]
 
 
-def _entry_tables(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse-CDF tables of one pattern period, one column per position.
-
-    Returns the (K_max - 1) x n threshold matrix, each column's base offset
-    into the flat entry tables, and the flat rewards and win flags. A
-    column holds its arm's thresholds (_arm_entries), padded with +inf.
-    """
-    labels = list(dict.fromkeys(spec.sequence))
-    cumulative, rewards, wins = zip(*(_arm_entries(spec.arms[label]) for label in labels))
-    thresholds = np.full((max(map(len, cumulative)), len(labels)), np.inf)
-    for column, values in enumerate(cumulative):
-        thresholds[: len(values), column] = values
-    offsets = np.cumsum([0] + [len(values) for values in rewards[:-1]])
-    codes = [labels.index(label) for label in spec.sequence]
-    return thresholds[:, codes], offsets[codes], np.concatenate(rewards), np.concatenate(wins)
-
-
 @functools.lru_cache(maxsize=64)
-def _bin_table(arm) -> tuple[np.ndarray, np.ndarray]:
-    """Win flag and payout of each of the _BINS equal bins of [0, 1) for one arm.
+def _bin_table(arm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Payout of each of the _BINS equal bins of [0, 1) for one arm, and its split-bin data.
 
-    Bin b holds the uniforms in [b, b + 1) / _BINS. Its first uniform
-    reaches searchsorted(thresholds, b / _BINS, "right") thresholds and its
-    last searchsorted(thresholds, (b + 1) / _BINS, "left"); where the two
-    agree, every uniform of the bin has that entry, and the bin holds its
-    win flag (0 or 1) and reward. A bin a threshold splits has flag 2. Both
-    tables are read-only.
+    An entry's signed reward is its reward on a win, +0.0 on a loss and
+    -0.0 on a win that pays nothing, so a coup wins exactly where its
+    payout's bits are nonzero. Bin b holds the uniforms in [b, b + 1) /
+    _BINS. Its first uniform reaches searchsorted(thresholds, b / _BINS,
+    "right") thresholds and its last searchsorted(thresholds, (b + 1) /
+    _BINS, "left"); where the two agree, every uniform of the bin has that
+    entry, and the bin holds its signed reward. A bin a threshold splits
+    holds NaN. Returns the table, the arm's thresholds and its signed
+    rewards, all read-only.
     """
     thresholds, rewards, wins = _arm_entries(arm)
+    signed = np.array([(reward or -0.0) if won else 0.0 for reward, won in zip(rewards, wins)])
     edges = np.arange(_BINS + 1) / _BINS
     first = np.searchsorted(thresholds, edges[:-1], side="right")
     last = np.searchsorted(thresholds, edges[1:], side="left")
-    flags = np.where(first == last, np.array(wins, np.uint8)[first], 2).astype(np.uint8)
-    payouts = np.array(rewards, float)[first]
-    flags.flags.writeable = payouts.flags.writeable = False
-    return flags, payouts
+    table = np.where(first == last, signed[first], np.nan)
+    for array in (table, thresholds, signed):
+        array.flags.writeable = False
+    return table, thresholds, signed
 
 
-def _table_sampler(spec: ChainSpec, row: int) -> Callable[[np.ndarray], np.ndarray]:
+def _table_sampler(spec: ChainSpec, row: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Sampler of a pattern through its arms' bin tables (_bin_table).
 
-    The returned function takes a stack of rows, each `row` uniforms of
-    whole pattern periods, returns their win mask and writes their payouts
-    over them. A uniform's bin is floor(u * _BINS), exact for a power of
-    two, plus its arm's table offset. One take reads the win flags and one
-    the payouts; the few uniforms in split bins, at most K - 1 of every
-    _BINS, get the exact threshold count from _entry_tables.
+    The returned function takes a stack of rows of raw PCG64 words, each
+    `row` words of whole pattern periods, and returns their win mask and
+    payouts, in this thread's scratch buffers. A word's bin is its top 12
+    bits, w >> 52, plus its arm's table offset, and one take reads the
+    payouts. The few words in split bins, at most K - 1 of every _BINS,
+    count their arm's thresholds exactly, at the word's uniform
+    (w >> 11) * 2**-53: what Generator.random makes of the same word.
     """
     labels = list(dict.fromkeys(spec.sequence))
-    tables = [_bin_table(spec.arms[label]) for label in labels]
-    flags = np.concatenate([flags for flags, _ in tables])
-    payouts = np.concatenate([payouts for _, payouts in tables])
-    offsets = np.tile([labels.index(label) * _BINS for label in spec.sequence], row // spec.n)
-    thresholds, base, rewards, wins = _entry_tables(spec)
+    arms = [_bin_table(spec.arms[label]) for label in labels]
+    table = np.concatenate([table for table, _, _ in arms])
+    codes = [labels.index(label) * _BINS for label in spec.sequence]
+    offsets = np.tile(np.array(codes, np.uint64), row // spec.n)
 
-    def sample(rows: np.ndarray) -> np.ndarray:
-        bins = _scratch_array(rows.size, np.intp, "bins").reshape(rows.shape)
-        np.multiply(rows, _BINS, out=bins, casting="unsafe")
+    def sample(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bins = _scratch_array(words.size, np.uint64, "bins").reshape(words.shape)
+        np.right_shift(words, _BIN_SHIFT, out=bins)
         np.add(bins, offsets, out=bins)
+        payouts = _scratch_array(words.size, float).reshape(words.shape)
         # Every bin is in range; "clip" skips the check that would buffer `out`.
-        win = _scratch_array(rows.size, np.uint8, "flags").reshape(rows.shape)
-        np.take(flags, bins, out=win, mode="clip")
-        split = _scratch_array(rows.size, bool, "split").reshape(rows.shape)
-        split = np.flatnonzero(np.equal(win, 2, out=split))
-        uniforms = rows.ravel()[split]
-        np.take(payouts, bins, out=rows, mode="clip")
+        np.take(table, bins.view(np.intp), out=payouts, mode="clip")
+        win = _scratch_array(words.size, bool, "win").reshape(words.shape)
+        split = np.flatnonzero(np.isnan(payouts, out=win))
         if split.size:
-            column = split % spec.n
-            entry = base[column] + np.count_nonzero(thresholds[:, column] <= uniforms, axis=0)
-            rows.ravel()[split] = rewards[entry]
-            win.ravel()[split] = wins[entry]
-        return win.view(bool)
+            uniforms = (words.ravel()[split] >> np.uint64(11)) * 2.0**-53
+            owners = bins.ravel()[split] // _BINS
+            for code, (_, thresholds, signed) in enumerate(arms):
+                mine = owners == code
+                entries = np.searchsorted(thresholds, uniforms[mine], side="right")
+                payouts.ravel()[split[mine]] = signed[entries]
+        np.not_equal(payouts.view(np.int64), 0, out=win)
+        return win, payouts
 
     return sample
 
 
 def _pattern_chunks(spec: ChainSpec, coups: int, seed: int) -> _Chunks:
-    """(win mask, payouts) of a pattern run, chunk by chunk; one uniform per coup.
+    """(win mask, payouts) of a pattern run, chunk by chunk; one PCG64 word per coup.
 
     A chunk is a stack of rows of whole pattern periods, about _ROW coups
     each, so the per-position values are laid out once, for one row, and
-    broadcast over the rows; the last row of a run may be cut short.
-    Payouts are written over the chunk's uniforms.
+    broadcast over the rows. A two-point pattern draws one uniform per
+    coup and writes its payouts over them; the last row of its last chunk
+    may be cut short. A table-sampled pattern draws raw words in whole
+    rows, so its last chunk reads up to row - 1 words past the run that
+    no coup uses.
     """
-    rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
+    bits = np.random.PCG64(_check_seed(seed))
     n = spec.n
     row = -(-min(_ROW, CHUNK, coups) // n) * n
     step = -(-min(CHUNK, coups) // row) * row
-    uniforms = _scratch_array(step, float)
-    grid = uniforms.reshape(-1, row)
     arms = [spec.arms[label] for label in spec.sequence]
-    # Kept beside the table sampler, which runs 1.06-1.31x slower on two-point patterns.
+    # Uniforms made from raw words made this path 13-19% slower. It is kept
+    # beside the table sampler, which ran 1.06-1.31x slower on two-point
+    # patterns.
     if all(isinstance(arm, TwoPointArm) for arm in arms):
+        rng = np.random.Generator(bits)
+        uniforms = _scratch_array(step, float)
+        grid = uniforms.reshape(-1, row)
         p = np.tile([arm.p for arm in arms], row // n)
         u = np.tile([arm.u for arm in arms], row // n)
-
-        def sample(rows: np.ndarray) -> np.ndarray:
+        for start in range(0, coups, step):
+            k = min(step, coups - start)
+            rng.random(out=uniforms[:k])
+            rows = grid[: -(-k // row)]
             win = rows < p
             np.multiply(win, u, out=rows)
-            return win
-
-    else:
-        sample = _table_sampler(spec, row)
-
+            yield win.ravel()[:k], uniforms[:k]
+        return
+    sample = _table_sampler(spec, row)
     for start in range(0, coups, step):
         k = min(step, coups - start)
-        rows = grid[: -(-k // row)]
-        rng.random(out=uniforms[:k])
-        # The last row's tail past the run holds old payouts; the bin sampler reads uniforms only.
-        rows.ravel()[k:] = 0.0
-        win = sample(rows)
-        yield win.ravel()[:k], uniforms[:k]
+        win, payouts = sample(bits.random_raw(-(-k // row) * row).reshape(-1, row))
+        yield win.ravel()[:k], payouts.ravel()[:k]
 
 
 def _mixture_chunks(gamma: float, probs: ArmProbabilities, coups: int, seed: int) -> _Chunks:
@@ -385,7 +390,7 @@ def _award_tables(j: int) -> tuple[np.ndarray, np.ndarray]:
     phases = np.arange(9)[:, None, None]
     last = np.where(last >= 0, last, phases - j)
     awards = ~wins & ((coups - last) % j == 0)
-    counts = awards.sum(axis=2, dtype=np.uint8).ravel()
+    counts = awards.sum(axis=2, dtype=np.intp).ravel()
     stakes = np.where(awards, 1.0 - j, 1.0).reshape(-1, 8)
     counts.flags.writeable = stakes.flags.writeable = False
     return counts, stakes
@@ -412,16 +417,17 @@ def _byte_starts(size: int) -> np.ndarray:
     return starts[:size]
 
 
-def _awards(win: np.ndarray, j: int, losses: int) -> tuple[np.ndarray, int, int]:
-    """Table keys of a chunk's win bytes, its award count and the loss run left open.
+def _awards(win: np.ndarray, j: int, losses: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Table keys and award counts of a chunk's win bytes, its award total and the loss run left open.
 
     The chunk continues a loss run of `losses` coups, whose last win is the
     virtual coup -1 - losses. Packing the mask gives one byte per 8 coups;
     a running maximum over each byte's highest win gives the last win
     before every byte, and so its phase. Pad bits past the chunk's end are
-    losses and may draw awards; those are taken back. Nothing is counted
-    twice across chunks: the carried run's earlier awards are in earlier
-    chunks, and the phase places its next one.
+    losses and may draw awards; the total takes those back, the last
+    byte's count keeps them. Nothing is counted twice across chunks: the
+    carried run's earlier awards are in earlier chunks, and the phase
+    places its next one.
     """
     packed = np.packbits(win, bitorder="little")
     size = packed.size
@@ -441,35 +447,55 @@ def _awards(win: np.ndarray, j: int, losses: int) -> tuple[np.ndarray, int, int]
     np.left_shift(keys, 8, out=keys)
     np.add(keys, packed, out=keys)
     counts, stakes = _award_tables(j)
+    byte_awards = np.take(counts, keys, out=_scratch_array(size, np.intp, "byte_awards"), mode="clip")
     pad = stakes[keys[-1], win.size - starts[-1] :]
-    events = int(counts[keys].sum()) - int(np.count_nonzero(pad != 1.0))
-    return keys, events, win.size - 1 - int(last[-1])
+    events = int(byte_awards.sum()) - int(np.count_nonzero(pad != 1.0))
+    return keys, byte_awards, events, win.size - 1 - int(last[-1])
 
 
-def _play(
-    chunks: _Chunks, j: int, stride: int = 0, exact: bool = False
-) -> tuple[Ledger, np.ndarray | None]:
-    """Reduce a run, chunk by chunk, to its ledger and, given a stride, its trajectory.
+def _play(chunks: _Chunks, j: int) -> Ledger:
+    """Reduce a run, chunk by chunk, to its ledger."""
+    coups = losses = wins = events = 0
+    payouts = 0.0
+    for win, payout in chunks:
+        awards, losses = _awards(win, j, losses)[2:]
+        payouts += float(payout.sum())
+        wins += int(np.count_nonzero(win))
+        events += awards
+        coups += win.size
+    return Ledger(
+        coups_played=coups,
+        stakes_collected=float(coups),
+        win_payouts=payouts,
+        futurity_refunds=float(j * events),
+        futurity_events=events,
+        win_count=wins,
+        j=j,
+    )
 
-    Trajectory values are the cumulative profit at coups stride,
-    2*stride, ... With `exact`, which needs integer payouts whose every
-    running total is exact in float64, each value is read off the ledger at
-    its mark (_ledger_marks). Otherwise it is the sequential running sum of
-    per-coup profit, each coup's stake from the byte table minus its
-    payout; a chunk's payouts are overwritten by it.
+
+def _trajectory(chunks: _Chunks, j: int, stride: int, exact: bool) -> np.ndarray:
+    """Reduce a run, chunk by chunk, to its cumulative profit at coups stride, 2*stride, ...
+
+    With `exact`, which needs integer payouts whose every running total is
+    exact in float64, each value is read off the ledger at its mark
+    (_ledger_marks). Otherwise it is the sequential running sum of per-coup
+    profit, each coup's stake from the byte table minus its payout; a
+    chunk's payouts are overwritten by it. Neither forms the win count.
     """
     stakes = _award_tables(j)[1]
-    start = losses = wins = events = 0
+    start = losses = events = 0
     payouts = total = 0.0
     values = []
     for win, payout in chunks:
         k = win.size
-        keys, awards, losses = _awards(win, j, losses)
-        marks = np.arange(stride - 1 - start % stride, k, stride) if stride else None
-        if exact and marks.size:
-            values.append(_ledger_marks(keys, payout, marks, j, start, events, payouts))
-        payouts += float(payout.sum())
-        if stride and not exact:
+        keys, byte_awards, awards, losses = _awards(win, j, losses)
+        marks = np.arange(stride - 1 - start % stride, k, stride)
+        if exact:
+            marked, payouts = _ledger_marks(keys, byte_awards, payout, marks, j, start, events, payouts)
+            values.append(marked)
+            events += awards
+        else:
             rows = _scratch_array(8 * keys.size, float, "stakes").reshape(-1, 8)
             np.take(stakes, keys, axis=0, out=rows, mode="clip")
             per_coup = np.subtract(rows.ravel()[:k], payout, out=payout)
@@ -477,57 +503,63 @@ def _play(
             cumulative = np.cumsum(per_coup, out=per_coup)
             total = cumulative[-1]
             values.append(cumulative[marks])
-        wins += int(np.count_nonzero(win))
-        events += awards
         start += k
-    ledger = Ledger(
-        coups_played=start,
-        stakes_collected=float(start),
-        win_payouts=payouts,
-        futurity_refunds=float(j * events),
-        futurity_events=events,
-        win_count=wins,
-        j=j,
-    )
-    return ledger, np.concatenate(values) if stride else None
+    return np.concatenate(values)
+
+
+def _sums_before(values: np.ndarray, ends: np.ndarray, dtype) -> np.ndarray:
+    """values[:e].sum() for each end e of the nondecreasing `ends`, 1 <= e <= values.size.
+
+    Exact for integer values, summed in any order. Ends denser than one in
+    _DENSE values take one running sum; sparser ones a sum per segment
+    between ends, then a running sum over the segments. reduceat gives an
+    empty segment its first element, so those are zeroed.
+    """
+    if _DENSE * ends.size >= values.size:
+        return np.cumsum(values[: ends[-1]], dtype=dtype)[ends - 1]
+    starts = np.concatenate(([0], ends[:-1]))
+    # Segments that start at the last end are empty; reduceat takes no index that far.
+    inside = np.searchsorted(starts, ends[-1])
+    segments = np.zeros(ends.size, dtype)
+    segments[:inside] = np.add.reduceat(values[: ends[-1]], starts[:inside], dtype=dtype)
+    segments[starts == ends] = 0
+    return np.cumsum(segments, out=segments)
 
 
 def _ledger_marks(
     keys: np.ndarray,
+    byte_awards: np.ndarray,
     payout: np.ndarray,
     marks: np.ndarray,
     j: int,
     start: int,
     events: int,
     payouts: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Cumulative profit at a chunk's marks, read off the ledger: coups - J * awards - payouts.
 
     The chunk starts after `start` coups, `events` awards and `payouts`
-    coins paid. A mark's awards are those of the chunk's bytes before its
-    byte, a prefix sum of the per-byte counts, plus the award count of its
-    byte's first coups (_award_prefix). Its payouts are a sum per segment
-    between marks, then a running sum over the marks. With integer payouts
-    and every total below 2**53 each step is exact, so the values equal the
+    coins paid; returns the values and the coins paid by the chunk's end.
+    A mark's awards are those of the bytes up to its own (_sums_before of
+    the per-byte counts), less its byte's count, plus the award count of
+    its byte's first coups (_award_prefix). Its payouts are those up to it,
+    and the chunk's total is one more end. With integer payouts and every
+    total below 2**53 each step is exact, so the values equal the
     sequential running sum bit for bit.
     """
-    counts = _award_tables(j)[0]
-    byte_awards = _scratch_array(keys.size + 1, np.intp, "byte_awards")
-    # A prefix from 0, not reduceat, which gives the element itself for an empty segment.
-    byte_awards[0] = 0
-    np.cumsum(counts[keys], dtype=np.intp, out=byte_awards[1:])
     byte = marks >> 3
-    awards = events + byte_awards[byte] + _award_prefix(j)[keys[byte], (marks & 7) + 1]
-    segments = np.add.reduceat(payout[: marks[-1] + 1], np.concatenate(([0], marks[:-1] + 1)))
-    paid = np.cumsum(segments, out=segments)
+    awards = events + _award_prefix(j)[keys[byte], (marks & 7) + 1] - byte_awards[byte]
+    if marks.size:
+        awards += _sums_before(byte_awards, byte + 1, np.intp)
+    paid = _sums_before(payout, np.append(marks + 1, payout.size), float)
     paid += payouts
-    return (start + 1 + marks - j * awards) - paid
+    return (start + 1 + marks - j * awards) - paid[:-1], float(paid[-1])
 
 
 def simulate_once(spec: ChainSpec, coups: int, seed: int) -> Ledger:
     """Play `coups` coups of the pattern; deterministic given (spec, coups, seed)."""
     _check_count("coups", coups)
-    return _play(_pattern_chunks(spec, coups, seed), spec.j)[0]
+    return _play(_pattern_chunks(spec, coups, seed), spec.j)
 
 
 def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -> np.ndarray:
@@ -555,7 +587,7 @@ def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -
     exact = all(float(reward).is_integer() for reward in paid) and (
         coups * (spec.j + int(max(paid))) < _EXACT_LIMIT
     )
-    _, values = _play(_pattern_chunks(spec, coups, seed), spec.j, stride, exact)
+    values = _trajectory(_pattern_chunks(spec, coups, seed), spec.j, stride, exact)
     return np.column_stack([np.arange(stride, coups + 1, stride), values])
 
 
@@ -573,7 +605,7 @@ def simulate_mixture_once(
     """
     gamma = _check_gamma(gamma)
     _check_count("coups", coups)
-    return _play(_mixture_chunks(gamma, probs, coups, seed), _check_threshold(j))[0]
+    return _play(_mixture_chunks(gamma, probs, coups, seed), _check_threshold(j))
 
 
 def _aggregate(rep_means: np.ndarray, count_means: np.ndarray) -> SimResult:

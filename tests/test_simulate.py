@@ -258,8 +258,8 @@ class TestChunkBoundaries:
                 assert np.allclose(trajectory[:, 1], np.cumsum(profits), rtol=0, atol=1e-9)
 
     def test_short_row_after_huge_payouts(self, monkeypatch):
-        # The last chunk's short row runs past the run into the previous
-        # chunk's payouts; scaled into bins, 1e17 would overflow the cast.
+        # The last chunk is shorter than the others; the previous chunk's
+        # 1e17 payouts must not leak into it.
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
         arm = MultipointDistribution(((0.0, 0.5), (1e17, 0.5)))
         spec = ChainSpec(sequence=("A",), arms={"A": arm}, j=2)
@@ -285,15 +285,16 @@ class TestChunkBoundaries:
         assert large < 8 * 16 * simulate.CHUNK / 4
 
     def test_multipoint_trajectory_memory_does_not_grow_with_coups(self):
-        # The bin tables are built once per arm and the sampler's bin, flag
-        # and split buffers once per thread, so neither grows with the run.
+        # The bin tables are built once per arm and the sampler's bin,
+        # payout and win buffers once per thread, so neither grows with the
+        # run; each chunk's raw words are freed before the next is drawn.
         mode_e, mode_o = mills_modes()
         spec = ChainSpec(sequence=tuple("AAABB"), arms={"A": mode_e, "B": mode_o}, j=2)
         small, large = trajectory_peaks(spec)
         assert large < 1.25 * small
         assert large < 8 * 16 * simulate.CHUNK / 4
         buffers = dict(vars(simulate._scratch))
-        assert {np.dtype(float).name, "bins", "flags", "split", "byte_awards"} <= set(buffers)
+        assert {np.dtype(float).name, "bins", "win", "byte_awards"} <= set(buffers)
         cumulative_trajectory(spec, 16 * simulate.CHUNK, 6, stride=simulate.CHUNK)
         assert all(vars(simulate._scratch)[name] is buffer for name, buffer in buffers.items())
 
@@ -325,13 +326,16 @@ class TestByteReduction:
     def test_matches_streak_walk(self, size, p, seed, j, losses):
         win = np.random.default_rng(seed).random(size) < p
         stakes, awards, run = streak_walk(win, j, losses)
-        keys, events, open_run = simulate._awards(win, j, losses)
+        keys, byte_awards, events, open_run = simulate._awards(win, j, losses)
         assert (events, open_run) == (awards, run)
-        assert simulate._award_tables(j)[1][keys].ravel()[:size].tolist() == stakes
+        counts, table_stakes = simulate._award_tables(j)
+        assert table_stakes[keys].ravel()[:size].tolist() == stakes
+        assert np.array_equal(byte_awards, counts[keys])
         # The kernel carries the same run in from a chunk of `losses` losses.
         chunks = [(np.zeros(losses, bool), np.zeros(losses))] if losses else []
         chunks.append((win, np.zeros(size)))
-        ledger, trajectory = simulate._play(iter(chunks), j, stride=1)
+        ledger = simulate._play(iter(chunks), j)
+        trajectory = simulate._trajectory(iter(chunks), j, stride=1, exact=False)
         whole_stakes, whole_awards, _ = streak_walk(np.concatenate([np.zeros(losses, bool), win]), j, 0)
         assert (ledger.win_count, ledger.futurity_events) == (int(win.sum()), whole_awards)
         # Integer stakes and zero payouts: the running sum is exact.
@@ -457,7 +461,7 @@ class TestLedgerMarks:
     @staticmethod
     def trajectory(spec, coups, seed, stride, exact):
         chunks = simulate._pattern_chunks(spec, coups, seed)
-        return simulate._play(chunks, spec.j, stride, exact)[1]
+        return simulate._trajectory(chunks, spec.j, stride, exact)
 
     def test_paths_bit_identical(self, monkeypatch):
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
@@ -495,6 +499,51 @@ class TestLedgerMarks:
         cumulative_trajectory(mills, 1000, 1, 10)
         with pytest.raises(AssertionError, match="exact path"):
             cumulative_trajectory(mills, 999, 1, 10)
+
+    @pytest.mark.parametrize("dense", [0, simulate._DENSE])
+    def test_marks_sharing_bytes(self, monkeypatch, dense):
+        # Strides 1-7 put several marks in one byte and, at each chunk's
+        # start, one in byte 0. _DENSE = 0 sends every running total
+        # through reduceat, whose segments between marks of one byte are empty.
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        monkeypatch.setattr(simulate, "_DENSE", dense)
+        for spec in self.specs():
+            for stride in range(1, 8):
+                for coups in sorted({stride, 9, 1003, self.COUPS}):
+                    seed = 31 * coups + stride + spec.j
+                    exact = self.trajectory(spec, coups, seed, stride, exact=True)
+                    assert np.array_equal(exact, self.trajectory(spec, coups, seed, stride, exact=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 8), min_size=1, max_size=200),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+    st.sampled_from([0, 1, 32, 10**9]),
+)
+def test_sums_before(values, cuts, dense):
+    """Running totals at nondecreasing ends, ties and the last value included, on both branches."""
+    values = np.array(values, np.intp)
+    ends = np.sort(np.ceil(np.array(cuts) * values.size).clip(1, values.size).astype(np.intp))
+    expected = [int(values[:end].sum()) for end in ends]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_DENSE", dense)
+        assert simulate._sums_before(values, ends, np.intp).tolist() == expected
+        assert simulate._sums_before(values.astype(float), ends, float).tolist() == expected
+
+
+def test_table_sampler_reuses_cached_arm_data(monkeypatch):
+    # The warm-up builds each arm's bin table and split-bin data; a later
+    # run reads them from the cache and never recounts the arms' entries.
+    mode_e, mode_o = mills_modes()
+    spec = ChainSpec(sequence=("E", "O", "O"), arms={"E": mode_e, "O": mode_o}, j=2)
+    expected = simulate_once(spec, 50_000, 3)
+
+    def rebuilt(arm):
+        raise AssertionError("arm entries rebuilt")
+
+    monkeypatch.setattr(simulate, "_arm_entries", rebuilt)
+    assert simulate_once(spec, 50_000, 3) == expected
 
 
 def assert_statistically_close(grand_mean, oracle, standard_error, context):
