@@ -290,7 +290,8 @@ def cmd_trajectory(args) -> int:
     seed = _seed_from_flags(args)
     trajectory = cumulative_trajectory(spec, args.coups, seed, args.stride)
     header = ["coup", "cumulative_profit"]
-    rows = [[str(int(coup)), _fmt(profit)] for coup, profit in trajectory]
+    # Python floats format faster than numpy scalars, and print the same text.
+    rows = [[str(int(coup)), _fmt(profit)] for coup, profit in trajectory.tolist()]
     _write_text(args.out, _csv(header, rows))
     return 0
 

@@ -30,8 +30,17 @@ the per-byte award counts and of the payouts up to each mark, one sum per
 segment between marks (one cumsum where marks are dense), and a table of
 award counts of each byte's first coups. No per-coup stake and no running
 sum over the coups. Any other trajectory is the sequential running sum of
-per-coup profit, each coup's stake from the byte table minus its payout. A
-trajectory forms no ledger: no win count and no separate payout total.
+per-coup profit. On a two-point pattern a coup's profit is its stake less
+win * u, so a byte's 8 profits depend only on its phase, the byte itself
+and the pattern positions of its coups. Every chunk starts on a whole
+period, so byte b's positions repeat with its layout class, b mod
+n / gcd(n, 8). One cached table of 8 profits per (class, phase, byte)
+(_profit_table) then gives every coup's profit with one gather per byte,
+and the sampler writes no payouts. It is used while it has no more rows
+than a chunk has stake rows: classes * min(J, 9) * 256 <= CHUNK / 8, so
+up to 32 classes at J = 2. Longer periods and multipoint arms take each
+coup's stake from the byte table minus its payout. A trajectory forms no
+ledger: no win count and no separate payout total.
 
 A pattern of two-point arms is sampled as u < p, one broadcast comparison
 on Generator.random's uniforms. Any other pattern goes through its arms'
@@ -75,6 +84,7 @@ the ledger's profit by construction.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -197,7 +207,7 @@ class SimResult:
     count_formula_grand_mean: float
 
 
-_Chunks = Iterator[tuple[np.ndarray, np.ndarray]]
+_Chunks = Iterator[tuple[np.ndarray, np.ndarray | None]]
 
 
 def _scratch_array(size: int, dtype, name: str = "") -> np.ndarray:
@@ -298,16 +308,16 @@ def _table_sampler(spec: ChainSpec, row: int) -> Callable[[np.ndarray], tuple[np
     return sample
 
 
-def _pattern_chunks(spec: ChainSpec, coups: int, seed: int) -> _Chunks:
+def _pattern_chunks(spec: ChainSpec, coups: int, seed: int, payouts: bool = True) -> _Chunks:
     """(win mask, payouts) of a pattern run, chunk by chunk; one PCG64 word per coup.
 
     A chunk is a stack of rows of whole pattern periods, about _ROW coups
     each, so the per-position values are laid out once, for one row, and
     broadcast over the rows. A two-point pattern draws one uniform per
-    coup and writes its payouts over them; the last row of its last chunk
-    may be cut short. A table-sampled pattern draws raw words in whole
-    rows, so its last chunk reads up to row - 1 words past the run that
-    no coup uses.
+    coup and writes its payouts over them, or, without `payouts`, yields
+    None for them; the last row of its last chunk may be cut short. A
+    table-sampled pattern draws raw words in whole rows, so its last chunk
+    reads up to row - 1 words past the run that no coup uses.
     """
     bits = np.random.PCG64(_check_seed(seed))
     n = spec.n
@@ -328,8 +338,9 @@ def _pattern_chunks(spec: ChainSpec, coups: int, seed: int) -> _Chunks:
             rng.random(out=uniforms[:k])
             rows = grid[: -(-k // row)]
             win = rows < p
-            np.multiply(win, u, out=rows)
-            yield win.ravel()[:k], uniforms[:k]
+            if payouts:
+                np.multiply(win, u, out=rows)
+            yield win.ravel()[:k], uniforms[:k] if payouts else None
         return
     sample = _table_sampler(spec, row)
     for start in range(0, coups, step):
@@ -397,6 +408,29 @@ def _award_tables(j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
+def _profit_table(payouts: tuple[float, ...], j: int) -> np.ndarray:
+    """Per-coup profits of one 8-coup byte of a two-point pattern, keyed by (class * phases + phase) * 256 + byte.
+
+    `payouts` are the win payouts of the pattern's positions, n of them.
+    Every chunk starts on a whole period, so byte b of a chunk covers
+    positions 8b, ..., 8b + 7 mod n, which depend only on its class,
+    b mod n / gcd(n, 8). A class has phases = min(j, 9) blocks of 256
+    rows, each row _award_tables' 8 stakes less the byte's wins times
+    their positions' payouts: the very operations that give each coup's
+    stake minus its payout, so every bit is the same. Read-only.
+    """
+    n = len(payouts)
+    classes = np.arange(n // math.gcd(n, 8))
+    phases = min(j, 9)
+    stakes = _award_tables(j)[1][: phases * 256].reshape(phases, 256, 8)
+    wins = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
+    paid = wins * np.array(payouts, float)[(8 * classes[:, None, None] + np.arange(8)) % n]
+    table = (stakes - paid[:, None]).reshape(-1, 8)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=16)
 def _award_prefix(j: int) -> np.ndarray:
     """Awards among the first r coups of a byte, keyed by (phase*256 + byte, r), r = 0..8.
 
@@ -438,12 +472,16 @@ def _awards(win: np.ndarray, j: int, losses: int) -> tuple[np.ndarray, np.ndarra
     np.add(last[1:], starts, out=last[1:])
     np.maximum.accumulate(last, out=last)
     keys = _scratch_array(size, np.intp, "keys")
-    np.subtract(last[:-1], starts, out=keys)
-    # keys mod j: numpy's division by a scalar runs twice as fast as np.mod here.
-    quotient = np.floor_divide(keys, j, out=last[:-1])
-    keys -= np.multiply(quotient, j, out=quotient)
-    if j > 8:
-        np.minimum(keys, 8, out=keys)
+    if 8 % j == 0:
+        # Every byte starts at a multiple of 8, so last - start = last mod j.
+        np.bitwise_and(last[:-1], j - 1, out=keys)
+    else:
+        np.subtract(last[:-1], starts, out=keys)
+        # keys mod j: numpy's division by a scalar runs twice as fast as np.mod here.
+        quotient = np.floor_divide(keys, j, out=last[:-1])
+        keys -= np.multiply(quotient, j, out=quotient)
+        if j > 8:
+            np.minimum(keys, 8, out=keys)
     np.left_shift(keys, 8, out=keys)
     np.add(keys, packed, out=keys)
     counts, stakes = _award_tables(j)
@@ -474,16 +512,22 @@ def _play(chunks: _Chunks, j: int) -> Ledger:
     )
 
 
-def _trajectory(chunks: _Chunks, j: int, stride: int, exact: bool) -> np.ndarray:
+def _trajectory(
+    chunks: _Chunks, j: int, stride: int, exact: bool, profits: np.ndarray | None = None
+) -> np.ndarray:
     """Reduce a run, chunk by chunk, to its cumulative profit at coups stride, 2*stride, ...
 
     With `exact`, which needs integer payouts whose every running total is
     exact in float64, each value is read off the ledger at its mark
     (_ledger_marks). Otherwise it is the sequential running sum of per-coup
-    profit, each coup's stake from the byte table minus its payout; a
-    chunk's payouts are overwritten by it. Neither forms the win count.
+    profit. With a `profits` table (_profit_table) of a two-point pattern,
+    whose chunks carry no payouts, each byte's 8 profits are one row,
+    keyed by its class and its award key; else each coup's stake from the
+    byte table minus its payout. Neither forms the win count.
     """
-    stakes = _award_tables(j)[1]
+    table = _award_tables(j)[1] if profits is None else profits
+    block = min(j, 9) * 256
+    offsets = None
     start = losses = events = 0
     payouts = total = 0.0
     values = []
@@ -496,9 +540,15 @@ def _trajectory(chunks: _Chunks, j: int, stride: int, exact: bool) -> np.ndarray
             values.append(marked)
             events += awards
         else:
+            if profits is not None:
+                if offsets is None or offsets.size < keys.size:
+                    offsets = np.arange(keys.size) % (profits.shape[0] // block) * block
+                np.add(keys, offsets[: keys.size], out=keys)
             rows = _scratch_array(8 * keys.size, float, "stakes").reshape(-1, 8)
-            np.take(stakes, keys, axis=0, out=rows, mode="clip")
-            per_coup = np.subtract(rows.ravel()[:k], payout, out=payout)
+            np.take(table, keys, axis=0, out=rows, mode="clip")
+            per_coup = rows.ravel()[:k]
+            if profits is None:
+                np.subtract(per_coup, payout, out=per_coup)
             per_coup[0] += total
             cumulative = np.cumsum(per_coup, out=per_coup)
             total = cumulative[-1]
@@ -587,7 +637,15 @@ def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -
     exact = all(float(reward).is_integer() for reward in paid) and (
         coups * (spec.j + int(max(paid))) < _EXACT_LIMIT
     )
-    values = _trajectory(_pattern_chunks(spec, coups, seed), spec.j, stride, exact)
+    arms = [spec.arms[label] for label in spec.sequence]
+    profits = None
+    # The profit table may have no more rows than a chunk's stake rows, so memory stays O(CHUNK).
+    if not exact and all(isinstance(arm, TwoPointArm) for arm in arms):
+        if spec.n // math.gcd(spec.n, 8) * min(spec.j, 9) * 256 <= CHUNK // 8:
+            profits = _profit_table(tuple(arm.u for arm in arms), spec.j)
+    # Positional: stand-ins for the sampler take *args.
+    chunks = _pattern_chunks(spec, coups, seed, profits is None)
+    values = _trajectory(chunks, spec.j, stride, exact, profits)
     return np.column_stack([np.arange(stride, coups + 1, stride), values])
 
 

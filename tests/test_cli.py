@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -404,6 +405,26 @@ class TestTrajectory:
         assert header == ["coup", "cumulative_profit"]
         assert len(rows) == 100
         assert rows[0][0] == "1000" and rows[-1][0] == "100000"
+
+    @pytest.mark.parametrize(
+        "reduction, strategy, digest",
+        [
+            ("fair", "AAABB", "98c412f6cfde2c7358ccf066c75cc72237aaca476fa382dea3916a87d7d8b04f"),
+            ("multipoint", "AB", "552b58a9077faca93a90aa28f74b36d2b742c882f89f220e13bd77e4f31f34d7"),
+        ],
+    )
+    def test_mills_csv_digest(self, capsys, tmp_path, reduction, strategy, digest):
+        # sha256 of the whole CSV, recorded before rows were formatted from Python floats
+        machine_path = tmp_path / "mills.machine"
+        machine_path.write_text(format_machine_file(*mills_modes()), encoding="utf-8")
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run_cli(
+            capsys, "trajectory", "--strategy", strategy, "--machine", str(machine_path),
+            "--reduction", reduction, "--coups", "300001", "--stride", "7", "--seed", "2026",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_single_point(self, capsys, tmp_path):
         out_path = tmp_path / "one.csv"

@@ -2,10 +2,13 @@
 
 Every arm set below is played at J in {2, 3, 11}, run lengths from 1 to
 10**6 + 3 and strides 1, 7, 8, CHUNK and the run length. The digests were
-recorded before the table sampler read raw PCG64 words, so a kernel change
-that moves any output bit fails here, whichever path it takes: the
-two-point fast path, the bin-table sampler with and without split bins,
-zero-payout wins, the ledger-read marks and the sequential running sum.
+recorded before the table sampler read raw PCG64 words, and the fair
+patterns of 5 and 17 layout classes before two-point trajectories read
+their per-coup profits from one table, so a kernel change that moves any
+output bit fails here, whichever path it takes: the two-point fast path,
+the bin-table sampler with and without split bins, zero-payout wins, the
+ledger-read marks, the per-byte profit table and the sequential running
+sum, which the 17-coup pattern takes at J = 11.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ from futurity import (
 from futurity import simulate
 
 MODE_E, MODE_O = mills_modes()
+FAIR = {"A": fair_two_point(MODE_E), "B": fair_two_point(MODE_O)}
 
 ARM_SETS = {
     "mills": ("AAABB", {"A": MODE_E, "B": MODE_O}),
@@ -51,7 +55,10 @@ ARM_SETS = {
         "AAB",
         {"A": MultipointDistribution(((0.0, 0.55), (1.5, 0.3), (2.75, 0.15))), "B": MODE_O},
     ),
-    "fair": ("AB", {"A": fair_two_point(MODE_E), "B": fair_two_point(MODE_O)}),
+    "fair": ("AB", FAIR),
+    # Byte b of a chunk starts at position 8b mod n: 5 and 17 layout classes.
+    "fair-AAABB": ("AAABB", FAIR),
+    "fair-17": ("AAAABBBBAAAAAABBB", FAIR),
 }
 
 GOLDEN = {
@@ -60,6 +67,8 @@ GOLDEN = {
     "zero-mid-list": "72514f4cd9d63e09bf65a233b67f0f88d56d815abf52825952ea0256a5194617",
     "fractional": "a2ae4cb9d32308e9021924f609e30890dd62282845e10015ba2c64341ba5b54c",
     "fair": "69c2de5c87a417841ad65719f99d82b5c1a0a155238e71926a209e5de7408eda",
+    "fair-AAABB": "c265cb1dccdafc91796921023e426afcad00aa6a940a710725198dba7e5a31df",
+    "fair-17": "b7e9f0d431fa626f66573cfe80e733ad9fdbcc98881b62ace5a1b9ec8b3cebc6",
 }
 
 

@@ -1,10 +1,11 @@
 import random
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from futurity import (
@@ -323,6 +324,10 @@ class TestByteReduction:
         st.integers(2, 20),
         st.integers(0, 50),
     )
+    # J dividing 8 takes each byte's phase from the last win by one mask.
+    @example(size=2999, p=0.3, seed=11, j=2, losses=7)
+    @example(size=1000, p=0.15, seed=12, j=4, losses=3)
+    @example(size=3000, p=0.05, seed=13, j=8, losses=45)
     def test_matches_streak_walk(self, size, p, seed, j, losses):
         win = np.random.default_rng(seed).random(size) < p
         stakes, awards, run = streak_walk(win, j, losses)
@@ -350,6 +355,94 @@ class TestByteReduction:
             assert simulate._award_tables(j) is simulate._award_tables(j)
         # Phase 0 pays at coups 0, j, 2j, ... of an all-loss byte.
         assert simulate._award_tables(3)[1][0].tolist() == [-2.0, 1, 1, -2.0, 1, 1, -2.0, 1]
+
+
+def literal_two_point_trajectory(spec, coups, seed, stride):
+    """A two-point run's running profit at its marks, coup by coup.
+
+    Draws the run's uniforms in one block, takes each coup's stake from the
+    streak walk (the byte table's stake rows, by TestByteReduction), less
+    its win times its payout, and sums them in one cumsum.
+    """
+    uniforms = np.random.Generator(np.random.PCG64(seed)).random(coups)
+    arms = [spec.arms[label] for label in spec.sequence]
+    positions = np.arange(coups) % spec.n
+    win = uniforms < np.array([arm.p for arm in arms])[positions]
+    payouts = np.array([arm.u for arm in arms], float)[positions]
+    stakes = np.array(streak_walk(win, spec.j, 0)[0])
+    return np.cumsum(stakes - win * payouts)[stride - 1 :: stride]
+
+
+@st.composite
+def two_point_specs(draw):
+    """1 to 3 two-point arms, p in {0, 1} or interior, u zero, integer or fractional, in a period of 1 to 40."""
+    labels = "ABC"[: draw(st.integers(1, 3))]
+    sequence = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=40))
+    p = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    u = st.one_of(st.just(0.0), st.integers(1, 9).map(float), st.floats(0.0, 20.0))
+    arms = {label: TwoPointArm(draw(p), draw(u)) for label in set(sequence)}
+    return ChainSpec(sequence=tuple(sequence), arms=arms, j=draw(st.sampled_from([2, 3, 4, 8, 9, 11])))
+
+
+class TestProfitTable:
+    """Two-point trajectories, payouts folded into per-byte rows or not, against the literal running sum."""
+
+    AB = ArmProbabilities(0.3, 0.7)
+    PAPER = "AAAABBBBAAAAAABBB"  # 17 layout classes
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        two_point_specs(),
+        st.integers(1, 3000),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1000, 1 << 14, None]),
+    )
+    # Both sides of the fold bound at the real CHUNK, across its first boundary.
+    @example(fair_chain(parse_strategy(PAPER), AB, j=3), 1600, 7, 5, None)
+    @example(fair_chain(parse_strategy(PAPER), AB, j=4), 1600, 7, 5, None)
+    def test_equals_literal(self, spec, coups, stride, seed, chunk):
+        # CHUNK = 1000 folds nothing, 2**14 folds short periods at small J
+        # over many chunks; at the real CHUNK the run crosses one boundary.
+        chunk = chunk or simulate.CHUNK
+        coups = max(coups, stride) + (chunk - 1500 if chunk > 3000 else 0)
+        with mock.patch.object(simulate, "CHUNK", chunk):
+            trajectory = cumulative_trajectory(spec, coups, seed, stride)
+        expected = literal_two_point_trajectory(spec, coups, seed, stride)
+        assert trajectory[:, 1].tobytes() == expected.tobytes()
+
+    def test_fold_bound(self, monkeypatch):
+        calls = []
+        table = simulate._profit_table
+        monkeypatch.setattr(simulate, "_profit_table", lambda *args: calls.append(args) or table(*args))
+        paper = [fair_chain(parse_strategy(self.PAPER), self.AB, j=j) for j in (2, 3, 4, 11)]
+        for spec in paper:
+            cumulative_trajectory(spec, 1000, 1, 10)
+        # 17 classes of min(J, 9) * 256 rows against CHUNK // 8 = 16384 stake rows.
+        assert [j for _, j in calls] == [2, 3]
+        # Integer payouts are read off the ledger; multipoint arms keep their sampler.
+        mode_e, mode_o = mills_modes()
+        cumulative_trajectory(single_arm_chain(0.4, u=2.0), 1000, 1, 10)
+        cumulative_trajectory(ChainSpec(sequence=("A", "B"), arms={"A": mode_e, "B": mode_o}, j=2), 1000, 1, 10)
+        assert len(calls) == 2
+        monkeypatch.setattr(simulate, "CHUNK", 1000)
+        cumulative_trajectory(fair_chain(parse_strategy("AB"), self.AB), 1000, 1, 10)
+        assert len(calls) == 2
+
+    def test_table_rows(self):
+        # AAB: 3 classes, bytes starting at positions 0, 2 and 1.
+        u_a, u_b = 1.5, 4.25
+        table = simulate._profit_table((u_a, u_a, u_b), 2)
+        assert table.shape == (3 * 2 * 256, 8) and not table.flags.writeable
+        assert simulate._profit_table((u_a, u_a, u_b), 2) is table
+        stakes = simulate._award_tables(2)[1]
+        for cls, first in enumerate((0, 2, 1)):
+            paid = np.array([(u_a, u_a, u_b)[(first + i) % 3] for i in range(8)])
+            for phase in (0, 1):
+                for byte in (0, 0b10110001, 255):
+                    wins = np.array([byte >> i & 1 for i in range(8)], bool)
+                    row = table[(cls * 2 + phase) * 256 + byte]
+                    assert row.tolist() == (stakes[phase * 256 + byte] - wins * paid).tolist()
 
 
 class TestDegenerateArms:
