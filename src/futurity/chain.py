@@ -269,12 +269,16 @@ def oracle_profit(spec: ChainSpec, method: str = "recurrence") -> ChainSolution:
 def mixture_chain(gamma: float, probs: ArmProbabilities, j: int = 2) -> ChainSpec:
     """Single-arm chain equivalent to i.i.d. arm choice (A with prob gamma).
 
-    Independent per-coup choice makes outcomes i.i.d., so the mixture reduces
-    to one arm whose win probability and expected payout are the gamma-blends
-    of the two fair-calibrated arms.
+    Independent per-coup choice makes outcomes i.i.d., so each coup is one
+    draw from a three-point arm: A's fair payout with probability gamma *
+    p_a, B's with (1 - gamma) * p_b, and 0 otherwise. Equal payouts share
+    one entry. The simulator plays this chain as a one-position pattern,
+    one PCG64 word per coup.
     """
     gamma = _check_gamma(gamma)
-    p_mix = gamma * probs.p_a + (1.0 - gamma) * probs.p_b
-    blended_payout = gamma * probs.p_a * fair_payout(probs.p_a) + (1.0 - gamma) * probs.p_b * fair_payout(probs.p_b)
-    u_mix = blended_payout / p_mix
-    return ChainSpec(sequence=("M",), arms={"M": TwoPointArm(p_mix, u_mix)}, j=j)
+    wins: dict[float, float] = {}
+    for p, share in ((probs.p_a, gamma), (probs.p_b, 1.0 - gamma)):
+        payout = fair_payout(p)
+        wins[payout] = wins.get(payout, 0.0) + share * p
+    arm = MultipointDistribution((*wins.items(), (0.0, 1.0 - sum(wins.values()))))
+    return ChainSpec(sequence=("M",), arms={"M": arm}, j=j)

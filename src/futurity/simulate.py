@@ -27,9 +27,9 @@ running total an integer; while coups * (J + largest payout) < 2**53 each
 one is exact in float64, in any order of summation. Its marks are then read
 off the ledger, coups - J * awards - payouts at each mark: running sums of
 the per-byte award counts and of the payouts up to each mark, one sum per
-segment between marks (one cumsum where marks are dense), and a table of
-award counts of each byte's first coups. No per-coup stake and no running
-sum over the coups. Any other trajectory is the sequential running sum of
+segment between marks, and a table of award counts of each byte's first
+coups. No per-coup stake and no running sum over the coups. Any other
+trajectory is the sequential running sum of
 per-coup profit. On a two-point pattern a coup's profit is its stake less
 win * u, so a byte's 8 profits depend only on its phase, the byte itself
 and the pattern positions of its coups. Every chunk starts on a whole
@@ -67,18 +67,17 @@ coup's uniform is (w >> 11) * 2**-53, bit for bit what Generator.random
 returns for that word. Drawing the words in chunks reads the same stream
 as one draw of M. A table-sampled run draws whole rows of words, so up to
 row - 1 words past the run's end are drawn and never read; nothing reads
-the stream after the run. Two-point and mixture runs keep Generator.random's
-float draws, because they compare each uniform with p: made from raw words
-in numpy, the uniforms cost more than Generator.random's own conversion
-(a serial 64 x 100k replicate of fair AAABB ran 13-19% slower).
-A mixture run of M coups reads 2M uniforms from its stream, first the M arm
-picks, then the M outcomes; it reads them in chunks through two generators
-on the same seed, the second advanced past the picks. Chunking changes no
-output: trajectories equal a whole-run computation bit for bit, and so do
-ledgers of up to CHUNK coups. Above that, the integer counts stay exact and
-win_payouts may differ only by the rounding of chunk-wise sums. An
-integer-payout trajectory is read off the ledger, so its last row equals
-the ledger's profit by construction.
+the stream after the run. Two-point runs keep Generator.random's float
+draws, because they compare each uniform with p: made from raw words in
+numpy, the uniforms cost more than Generator.random's own conversion (a
+serial 64 x 100k replicate of fair AAABB ran 13-19% slower). An i.i.d.
+mixture run plays chain.mixture_chain's one-position pattern, a
+three-point arm, so it is table-sampled too: one word per coup. Chunking
+changes no output: trajectories equal a whole-run computation bit for bit,
+and so do ledgers of up to CHUNK coups. Above that, the integer counts
+stay exact and win_payouts may differ only by the rounding of chunk-wise
+sums. An integer-payout trajectory is read off the ledger, so its last row
+equals the ledger's profit by construction.
 """
 
 from __future__ import annotations
@@ -92,9 +91,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .chain import ChainSpec, _check_threshold
+from .chain import ChainSpec, mixture_chain
 from .errors import DomainError
-from .formulas import ArmProbabilities, _check_gamma, fair_payout
+from .formulas import ArmProbabilities
 from .machines import TwoPointArm
 
 #: Coups drawn and reduced per kernel step.
@@ -111,8 +110,6 @@ _ROW = 1 << 12
 _BINS = 1 << 12
 # A raw PCG64 word's bin is its top 12 bits.
 _BIN_SHIFT = 64 - 12
-# Running sums to marks denser than one in this many values take one cumsum (_sums_before).
-_DENSE = 3
 # Every integer below this is exact in float64.
 _EXACT_LIMIT = 1 << 53
 
@@ -325,8 +322,9 @@ def _pattern_chunks(spec: ChainSpec, coups: int, seed: int, payouts: bool = True
     step = -(-min(CHUNK, coups) // row) * row
     arms = [spec.arms[label] for label in spec.sequence]
     # Uniforms made from raw words made this path 13-19% slower. It is kept
-    # beside the table sampler, which ran 1.06-1.31x slower on two-point
-    # patterns.
+    # beside the table sampler, which gives the same ledgers on two-point
+    # patterns but ran 1.17-1.25x slower per 100k-coup run (AB, AAABB and a
+    # 17-coup pattern; 2 vCPUs, numpy 2.4.6).
     if all(isinstance(arm, TwoPointArm) for arm in arms):
         rng = np.random.Generator(bits)
         uniforms = _scratch_array(step, float)
@@ -347,34 +345,6 @@ def _pattern_chunks(spec: ChainSpec, coups: int, seed: int, payouts: bool = True
         k = min(step, coups - start)
         win, payouts = sample(bits.random_raw(-(-k // row) * row).reshape(-1, row))
         yield win.ravel()[:k], payouts.ravel()[:k]
-
-
-def _mixture_chunks(gamma: float, probs: ArmProbabilities, coups: int, seed: int) -> _Chunks:
-    """(win mask, payouts) of an i.i.d.-mixture run, chunk by chunk.
-
-    The run's stream holds all arm picks, then all outcomes: one generator
-    reads the picks, a second on the same seed, advanced past them, reads
-    the outcomes. Payouts are written over the chunk's outcome uniforms.
-    """
-    seed = _check_seed(seed)
-    picks = np.random.Generator(np.random.PCG64(seed))
-    outcomes = np.random.Generator(np.random.PCG64(seed).advance(coups))
-    pay_a, pay_b = fair_payout(probs.p_a), fair_payout(probs.p_b)
-    size = min(CHUNK, coups)
-    buffer = _scratch_array(2 * size, float)
-    for start in range(0, coups, size):
-        k = min(size, coups - start)
-        draws, b_payouts = buffer[:k], buffer[size : size + k]
-        pick_a = picks.random(out=draws) < gamma
-        outcomes.random(out=draws)
-        # Two bool masks, not a per-coup gather of p and u, which ran 27-36% slower.
-        a_wins = pick_a & (draws < probs.p_a)
-        b_wins = ~pick_a & (draws < probs.p_b)
-        # Each coup has at most one nonzero term, so the sum is exact.
-        np.multiply(a_wins, pay_a, out=draws)
-        np.multiply(b_wins, pay_b, out=b_payouts)
-        draws += b_payouts
-        yield a_wins | b_wins, draws
 
 
 # Highest win bit of each byte of a packed win mask; far below any coup index when none.
@@ -560,13 +530,10 @@ def _trajectory(
 def _sums_before(values: np.ndarray, ends: np.ndarray, dtype) -> np.ndarray:
     """values[:e].sum() for each end e of the nondecreasing `ends`, 1 <= e <= values.size.
 
-    Exact for integer values, summed in any order. Ends denser than one in
-    _DENSE values take one running sum; sparser ones a sum per segment
+    Exact for integer values, summed in any order: a sum per segment
     between ends, then a running sum over the segments. reduceat gives an
     empty segment its first element, so those are zeroed.
     """
-    if _DENSE * ends.size >= values.size:
-        return np.cumsum(values[: ends[-1]], dtype=dtype)[ends - 1]
     starts = np.concatenate(([0], ends[:-1]))
     # Segments that start at the last end are empty; reduceat takes no index that far.
     inside = np.searchsorted(starts, ends[-1])
@@ -658,12 +625,11 @@ def simulate_mixture_once(
 ) -> Ledger:
     """Play with i.i.d. arm choice: A with probability gamma, both arms fair.
 
-    Draw order per run: one uniform per coup for the arm choices of all
-    coups, then one per coup for the outcomes.
+    The run is mixture_chain's one-position pattern, one word per coup.
     """
-    gamma = _check_gamma(gamma)
+    spec = mixture_chain(gamma, probs, j)
     _check_count("coups", coups)
-    return _play(_mixture_chunks(gamma, probs, coups, seed), _check_threshold(j))
+    return _play(_pattern_chunks(spec, coups, seed), spec.j)
 
 
 def _aggregate(rep_means: np.ndarray, count_means: np.ndarray) -> SimResult:
@@ -719,8 +685,5 @@ def replicate_mixture(
     j: int = 2,
 ) -> SimResult:
     """Replicated i.i.d.-mixture run with fair arms."""
-    return _run_replications(
-        lambda coups, seed: simulate_mixture_once(gamma, probs, coups, seed, j=j),
-        config,
-        workers,
-    )
+    spec = mixture_chain(gamma, probs, j)
+    return _run_replications(lambda coups, seed: _play(_pattern_chunks(spec, coups, seed), spec.j), config, workers)

@@ -295,6 +295,24 @@ class TestMixtureChain:
     def test_gamma_is_cast_to_float(self):
         assert mixture_chain("0.5", PROBS) == mixture_chain(0.5, PROBS)
 
+    def test_three_point_arm_blends_the_fair_arms(self):
+        u_a, u_b = fair_payout(PROBS.p_a), fair_payout(PROBS.p_b)
+        # gamma = 0 and 1 keep their zero-probability entry.
+        for gamma in (0.0, 0.3, 0.5, 1.0):
+            spec = mixture_chain(gamma, PROBS)
+            a, b, (lose, _) = spec.arms["M"].entries
+            assert (a, b, lose) == ((u_a, gamma * PROBS.p_a), (u_b, (1.0 - gamma) * PROBS.p_b), 0.0)
+            blend = gamma * PROBS.p_a + (1.0 - gamma) * PROBS.p_b
+            assert spec.win_probabilities() == [pytest.approx(blend, abs=1e-15)]
+            payout = gamma * PROBS.p_a * u_a + (1.0 - gamma) * PROBS.p_b * u_b
+            assert spec.expected_payouts() == [pytest.approx(payout, abs=1e-15)]
+
+    def test_equal_payouts_share_one_entry(self):
+        # fair_payout rounds 0.3 and the next double above it to one payout.
+        for p_b in (0.3, math.nextafter(0.3, 1.0)):
+            entries = mixture_chain(0.4, ArmProbabilities(0.3, p_b)).arms["M"].entries
+            assert entries == ((fair_payout(0.3), 0.4 * 0.3 + 0.6 * p_b), (0.0, pytest.approx(0.7, abs=1e-15)))
+
 
 class TestFairChainConstruction:
     def test_payouts_are_calibrated(self):

@@ -163,26 +163,6 @@ class TestAgainstScalarReference:
             assert value == pytest.approx(reference[int(coup) - 1], abs=1e-9)
 
 
-def mixture_reference(gamma, probs, coups, seed, j):
-    """A mixture run drawn in one block, all arm picks and then all outcomes.
-
-    Returns the win count, the per-coup payouts and the award count, the
-    awards walked coup by coup.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pick_a = rng.random(coups) < gamma
-    uniforms = rng.random(coups)
-    win = uniforms < np.where(pick_a, probs.p_a, probs.p_b)
-    payout = np.where(win, np.where(pick_a, fair_payout(probs.p_a), fair_payout(probs.p_b)), 0.0)
-    streak = awards = 0
-    for won in win:
-        streak = 0 if won else streak + 1
-        if streak == j:
-            awards += 1
-            streak = 0
-    return int(win.sum()), payout, awards
-
-
 def trajectory_peaks(spec):
     """tracemalloc peaks of trajectories 4 and 16 chunks long, after a warm-up."""
 
@@ -268,16 +248,16 @@ class TestChunkBoundaries:
         wins, payouts, awards, _ = scalar_reference(spec, 1500, 8)
         assert (ledger.win_count, ledger.futurity_events, ledger.win_payouts) == (wins, awards, payouts)
 
-    def test_mixture_stream(self, monkeypatch):
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_mixture_plays_its_chain(self, monkeypatch, j):
+        # A mixture run is mixture_chain's one-position pattern, one word per coup.
         coups, seed, gamma = self.COUPS, 31, 0.4
-        wins, payout, awards = mixture_reference(gamma, self.LOW, coups, seed, j=3)
-        whole = simulate_mixture_once(gamma, self.LOW, coups, seed, j=3)
-        assert (whole.win_count, whole.futurity_events) == (wins, awards)
-        assert whole.win_payouts == float(payout.sum())  # one chunk: the same sum
-        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
-        chunked = simulate_mixture_once(gamma, self.LOW, coups, seed, j=3)
-        assert (chunked.win_count, chunked.futurity_events) == (wins, awards)
-        assert chunked.win_payouts == pytest.approx(whole.win_payouts, rel=1e-12)
+        wins, payouts, awards, _ = scalar_reference(mixture_chain(gamma, self.LOW, j), coups, seed)
+        for chunk in (simulate.CHUNK, self.CHUNK):
+            monkeypatch.setattr(simulate, "CHUNK", chunk)
+            ledger = simulate_mixture_once(gamma, self.LOW, coups, seed, j=j)
+            assert (ledger.win_count, ledger.futurity_events) == (wins, awards)
+            assert ledger.win_payouts == pytest.approx(payouts, rel=1e-12)
 
     def test_trajectory_memory_does_not_grow_with_coups(self):
         small, large = trajectory_peaks(fair_chain(parse_strategy("AB"), PROBS))
@@ -593,13 +573,11 @@ class TestLedgerMarks:
         with pytest.raises(AssertionError, match="exact path"):
             cumulative_trajectory(mills, 999, 1, 10)
 
-    @pytest.mark.parametrize("dense", [0, simulate._DENSE])
-    def test_marks_sharing_bytes(self, monkeypatch, dense):
+    def test_marks_sharing_bytes(self, monkeypatch):
         # Strides 1-7 put several marks in one byte and, at each chunk's
-        # start, one in byte 0. _DENSE = 0 sends every running total
-        # through reduceat, whose segments between marks of one byte are empty.
+        # start, one in byte 0; reduceat's segments between marks of one
+        # byte are empty.
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
-        monkeypatch.setattr(simulate, "_DENSE", dense)
         for spec in self.specs():
             for stride in range(1, 8):
                 for coups in sorted({stride, 9, 1003, self.COUPS}):
@@ -612,17 +590,14 @@ class TestLedgerMarks:
 @given(
     st.lists(st.integers(0, 8), min_size=1, max_size=200),
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
-    st.sampled_from([0, 1, 32, 10**9]),
 )
-def test_sums_before(values, cuts, dense):
-    """Running totals at nondecreasing ends, ties and the last value included, on both branches."""
+def test_sums_before(values, cuts):
+    """Running totals at nondecreasing ends, ties, empty segments and the last value included."""
     values = np.array(values, np.intp)
     ends = np.sort(np.ceil(np.array(cuts) * values.size).clip(1, values.size).astype(np.intp))
     expected = [int(values[:end].sum()) for end in ends]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "_DENSE", dense)
-        assert simulate._sums_before(values, ends, np.intp).tolist() == expected
-        assert simulate._sums_before(values.astype(float), ends, float).tolist() == expected
+    assert simulate._sums_before(values, ends, np.intp).tolist() == expected
+    assert simulate._sums_before(values.astype(float), ends, float).tolist() == expected
 
 
 def test_table_sampler_reuses_cached_arm_data(monkeypatch):
