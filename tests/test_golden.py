@@ -1,14 +1,13 @@
 """Golden outputs: sha256 of the trajectories and ledgers of a fixed grid.
 
 Every arm set below is played at J in {2, 3, 11}, run lengths from 1 to
-10**6 + 3 and strides 1, 7, 8, CHUNK and the run length. The digests were
-recorded before the table sampler read raw PCG64 words, and the fair
-patterns of 5 and 17 layout classes before two-point trajectories read
-their per-coup profits from one table, so a kernel change that moves any
-output bit fails here, whichever path it takes: the two-point fast path,
-the bin-table sampler with and without split bins, zero-payout wins, the
-ledger-read marks, the per-byte profit table and the sequential running
-sum, which the 17-coup pattern takes at J = 11.
+10**6 + 3 and strides 1, 7, 8, CHUNK and the run length. The integer-reward
+sets were recorded before the simulator sampled threshold planes and read
+every output off integer counts, and they kept every bit through that
+change; the fair sets, whose payouts are fractional, were recorded after
+it. So a kernel change that moves any output bit fails here: two-point,
+multipoint and mixed patterns, zero-payout wins, arms that never or always
+win, zero-probability entries and patterns of 5 and 17 layout classes.
 """
 
 import hashlib
@@ -66,9 +65,9 @@ GOLDEN = {
     "mills+two-point": "46e941a589ae9e6a1698bec5b606e87aab4d36788d1dc937358b5bfd08fa1560",
     "zero-mid-list": "72514f4cd9d63e09bf65a233b67f0f88d56d815abf52825952ea0256a5194617",
     "fractional": "a2ae4cb9d32308e9021924f609e30890dd62282845e10015ba2c64341ba5b54c",
-    "fair": "69c2de5c87a417841ad65719f99d82b5c1a0a155238e71926a209e5de7408eda",
-    "fair-AAABB": "c265cb1dccdafc91796921023e426afcad00aa6a940a710725198dba7e5a31df",
-    "fair-17": "b7e9f0d431fa626f66573cfe80e733ad9fdbcc98881b62ace5a1b9ec8b3cebc6",
+    "fair": "ff1dcece18819b31b17830347e9801e2ec9d60f082b06e38be754b50bd4b1284",
+    "fair-AAABB": "53ea14cc9f0acb02e6fb4f3a33637b31b93efee1ee573873af671bcdf2d4e7b2",
+    "fair-17": "169eefdd63e5fff7e4c00b1d33b1b7e03fcc25b64982e720dd1c994d40017570",
 }
 
 

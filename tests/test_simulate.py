@@ -1,4 +1,5 @@
 import random
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -18,7 +19,7 @@ from futurity import (
     cumulative_trajectory,
     derive_seed,
     fair_chain,
-    fair_payout,
+    fair_two_point,
     mills_modes,
     mixture_chain,
     oracle_profit,
@@ -33,6 +34,17 @@ from futurity import (
 from futurity import simulate
 
 PROBS = ArmProbabilities(0.3, 0.7)
+# Rewards no binary fraction holds exactly, so sums of them round.
+FRACTIONAL = MultipointDistribution(((0.0, 0.55), (1.7, 0.3), (2.9, 0.15)))
+
+
+def fractional_specs():
+    """A fair two-point pattern and a pattern mixing a fractional multipoint arm with Mills mode O."""
+    mode_e, mode_o = mills_modes()
+    return [
+        ChainSpec(sequence=tuple("AAABB"), arms={"A": fair_two_point(mode_e), "B": fair_two_point(mode_o)}, j=2),
+        ChainSpec(sequence=tuple("AAB"), arms={"A": FRACTIONAL, "B": mode_o}, j=3),
+    ]
 
 
 def scalar_reference(spec, coups, seed):
@@ -94,6 +106,27 @@ class TestDeterminism:
         for other in results[1:]:
             assert np.array_equal(results[0].rep_means, other.rep_means)
             assert results[0].grand_mean == other.grand_mean
+
+    def test_replicate_plays_simulate_once_per_replication(self, monkeypatch):
+        # The traced benchmark run (perfbench/layers.py) times each serial
+        # replication by its simulate_once span on the main thread, and its
+        # tracer swaps the module attribute, so replicate must call it there.
+        threads = []
+        play = simulate.simulate_once
+
+        def counted(*args):
+            threads.append(threading.get_ident())
+            return play(*args)
+
+        monkeypatch.setattr(simulate, "simulate_once", counted)
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        config = SimConfig(coups=100, replications=6, master_seed=1)
+        serial = replicate(spec, config, workers=1)
+        assert threads == [threading.main_thread().ident] * 6
+        threads.clear()
+        parallel = replicate(spec, config, workers=3)
+        assert len(threads) == 6 and threading.main_thread().ident not in threads
+        assert np.array_equal(serial.rep_means, parallel.rep_means)
 
     def test_sub_seeds_are_counter_based(self):
         # frozen values pin the documented derivation across versions
@@ -214,13 +247,16 @@ class TestChunkBoundaries:
         specs = [
             fair_chain(parse_strategy("ABB"), self.LOW, j=3),
             ChainSpec(sequence=("E", "E", "O"), arms={"E": mode_e, "O": mode_o}, j=3),
+            *fractional_specs(),
         ]
         whole = [cumulative_trajectory(spec, self.COUPS, 99, stride=7) for spec in specs]
+        ledgers = [simulate_once(spec, self.COUPS, 99) for spec in specs]
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
-        for spec, expected in zip(specs, whole):
+        for spec, expected, ledger in zip(specs, whole, ledgers):
             chunked = cumulative_trajectory(spec, self.COUPS, 99, stride=7)
-            # the running sum is sequential, so chunking leaves every bit in place
+            # rows are read off integer counts, so chunking leaves every bit in place
             assert np.array_equal(chunked, expected)
+            assert simulate_once(spec, self.COUPS, 99) == ledger
             reference = np.cumsum(scalar_reference(spec, self.COUPS, 99)[3])
             assert np.allclose(chunked[:, 1], reference[chunked[:, 0].astype(int) - 1], rtol=0, atol=1e-9)
 
@@ -266,16 +302,15 @@ class TestChunkBoundaries:
         assert large < 8 * 16 * simulate.CHUNK / 4
 
     def test_multipoint_trajectory_memory_does_not_grow_with_coups(self):
-        # The bin tables are built once per arm and the sampler's bin,
-        # payout and win buffers once per thread, so neither grows with the
-        # run; each chunk's raw words are freed before the next is drawn.
+        # The pattern's layout is built once and the uniform, plane, bit
+        # and key buffers once per thread, so neither grows with the run.
         mode_e, mode_o = mills_modes()
         spec = ChainSpec(sequence=tuple("AAABB"), arms={"A": mode_e, "B": mode_o}, j=2)
         small, large = trajectory_peaks(spec)
         assert large < 1.25 * small
         assert large < 8 * 16 * simulate.CHUNK / 4
         buffers = dict(vars(simulate._scratch))
-        assert {np.dtype(float).name, "bins", "win", "byte_awards"} <= set(buffers)
+        assert {"uniforms", "planes", "bits", "keys"} <= set(buffers)
         cumulative_trajectory(spec, 16 * simulate.CHUNK, 6, stride=simulate.CHUNK)
         assert all(vars(simulate._scratch)[name] is buffer for name, buffer in buffers.items())
 
@@ -293,8 +328,16 @@ def streak_walk(win, j, losses):
     return stakes, stakes.count(1.0 - j), run
 
 
+def award_chunk(win, j, losses):
+    """The bit rows _pattern_chunks yields for a win mask: its award bits alone, and the loss run left open."""
+    words = np.zeros((1, -(-win.size // 64)), np.uint64)
+    used = -(-win.size // 8)
+    run = simulate._awards(np.packbits(win, bitorder="little"), win.size, j, losses, words.view(np.uint8)[0, :used])
+    return (win.size, words), run
+
+
 class TestByteReduction:
-    """The packed-byte award count against a literal streak walk."""
+    """The packed-byte award bits against a literal streak walk."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -311,46 +354,74 @@ class TestByteReduction:
     def test_matches_streak_walk(self, size, p, seed, j, losses):
         win = np.random.default_rng(seed).random(size) < p
         stakes, awards, run = streak_walk(win, j, losses)
-        keys, byte_awards, events, open_run = simulate._awards(win, j, losses)
-        assert (events, open_run) == (awards, run)
-        counts, table_stakes = simulate._award_tables(j)
-        assert table_stakes[keys].ravel()[:size].tolist() == stakes
-        assert np.array_equal(byte_awards, counts[keys])
-        # The kernel carries the same run in from a chunk of `losses` losses.
-        chunks = [(np.zeros(losses, bool), np.zeros(losses))] if losses else []
-        chunks.append((win, np.zeros(size)))
-        ledger = simulate._play(iter(chunks), j)
-        trajectory = simulate._trajectory(iter(chunks), j, stride=1, exact=False)
+        (_, words), open_run = award_chunk(win, j, losses)
+        assert open_run == run
+        award_bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert award_bits[:size].tolist() == [stake != 1.0 for stake in stakes]
+        assert not award_bits[size:].any()
+        # The run carries in from a chunk of `losses` losses, and _tally counts
+        # the award bits up to every coup.
+        chunks, carried = [], 0
+        for mask in [np.zeros(losses, bool)] * bool(losses) + [win]:
+            chunk, carried = award_chunk(mask, j, carried)
+            chunks.append(chunk)
+        tallies = simulate._tally(iter(chunks), stride=1)
         whole_stakes, whole_awards, _ = streak_walk(np.concatenate([np.zeros(losses, bool), win]), j, 0)
-        assert (ledger.win_count, ledger.futurity_events) == (int(win.sum()), whole_awards)
-        # Integer stakes and zero payouts: the running sum is exact.
-        assert np.diff(trajectory, prepend=0.0).tolist() == whole_stakes
+        assert tallies[:, 0].tolist() == list(range(1, losses + size + 1))
+        assert np.diff(tallies[:, 1], prepend=0).tolist() == [stake != 1.0 for stake in whole_stakes]
+        assert simulate._tally(iter(chunks)).tolist() == [[losses + size, whole_awards]]
 
     def test_tables(self):
         for j in (2, 8, 9, 20):
-            counts, stakes = simulate._award_tables(j)
-            assert counts.shape == (9 * 256,) and stakes.shape == (9 * 256, 8)
-            assert np.array_equal(counts, (stakes != 1.0).sum(axis=1))
-            assert not counts.flags.writeable and not stakes.flags.writeable
-            assert simulate._award_tables(j) is simulate._award_tables(j)
+            table = simulate._award_tables(j)
+            assert table.shape == (9 * 256,) and table.dtype == np.uint8 and not table.flags.writeable
+            assert simulate._award_tables(j) is table
+            # A win pays no award.
+            assert not (table & np.tile(np.arange(256, dtype=np.uint8), 9)).any()
         # Phase 0 pays at coups 0, j, 2j, ... of an all-loss byte.
-        assert simulate._award_tables(3)[1][0].tolist() == [-2.0, 1, 1, -2.0, 1, 1, -2.0, 1]
+        assert simulate._award_tables(3)[0] == 0b01001001
+
+    def test_popcount(self):
+        # Every byte value at every byte of a word, and random words.
+        words = np.arange(256, dtype=np.uint64) << (8 * np.arange(8, dtype=np.uint64))[:, None]
+        random_words = np.random.default_rng(5).integers(0, 2**63, 999, dtype=np.uint64) * np.uint64(3)
+        for block in (words, random_words, np.array([0, 2**64 - 1], np.uint64)):
+            counts = simulate._popcount(block.copy(), np.empty_like(block))
+            expected = [sum(bin(byte).count("1") for byte in int(word).to_bytes(8, "little")) for word in block.ravel()]
+            assert counts.ravel().tolist() == expected
 
 
-def literal_two_point_trajectory(spec, coups, seed, stride):
-    """A two-point run's running profit at its marks, coup by coup.
+def literal_trajectory(spec, coups, seed, stride):
+    """A run's running profit at its marks, coup by coup.
 
-    Draws the run's uniforms in one block, takes each coup's stake from the
-    streak walk (the byte table's stake rows, by TestByteReduction), less
-    its win times its payout, and sums them in one cumsum.
+    Draws the run's uniforms in one block, takes each coup's entry by
+    searchsorted on its arm's cumulative probabilities, its stake from the
+    streak walk (the award bits, by TestByteReduction), less its payout,
+    and sums them in one cumsum.
     """
     uniforms = np.random.Generator(np.random.PCG64(seed)).random(coups)
-    arms = [spec.arms[label] for label in spec.sequence]
     positions = np.arange(coups) % spec.n
-    win = uniforms < np.array([arm.p for arm in arms])[positions]
-    payouts = np.array([arm.u for arm in arms], float)[positions]
+    win, payouts = np.zeros(coups, bool), np.zeros(coups)
+    for position, label in enumerate(spec.sequence):
+        arm, here = spec.arms[label], positions == position
+        if isinstance(arm, TwoPointArm):
+            win[here] = uniforms[here] < arm.p
+            payouts[here] = win[here] * arm.u
+        else:
+            thresholds = np.cumsum([prob for _, prob in arm.entries])[:-1]
+            rewards = np.array([reward for reward, _ in arm.entries])[np.searchsorted(thresholds, uniforms[here], "right")]
+            win[here], payouts[here] = rewards > 0, rewards
     stakes = np.array(streak_walk(win, spec.j, 0)[0])
-    return np.cumsum(stakes - win * payouts)[stride - 1 :: stride]
+    return np.cumsum(stakes - payouts)[stride - 1 :: stride]
+
+
+def rounding_bound(spec, reference):
+    """Error bound of a running sum of reference.size terms: eps/2 per addition and per term, doubled."""
+    largest_term = 1.0 + spec.j + max(
+        max(reward for reward, _ in arm.entries) if isinstance(arm, MultipointDistribution) else arm.u
+        for arm in spec.arms.values()
+    )
+    return np.finfo(float).eps * reference.size * (np.abs(reference).max() + largest_term)
 
 
 @st.composite
@@ -364,8 +435,8 @@ def two_point_specs(draw):
     return ChainSpec(sequence=tuple(sequence), arms=arms, j=draw(st.sampled_from([2, 3, 4, 8, 9, 11])))
 
 
-class TestProfitTable:
-    """Two-point trajectories, payouts folded into per-byte rows or not, against the literal running sum."""
+class TestTwoPointTrajectory:
+    """Two-point trajectories against the literal running sum, at several chunk sizes."""
 
     AB = ArmProbabilities(0.3, 0.7)
     PAPER = "AAAABBBBAAAAAABBB"  # 17 layout classes
@@ -378,51 +449,21 @@ class TestProfitTable:
         st.integers(0, 2**32 - 1),
         st.sampled_from([1000, 1 << 14, None]),
     )
-    # Both sides of the fold bound at the real CHUNK, across its first boundary.
     @example(fair_chain(parse_strategy(PAPER), AB, j=3), 1600, 7, 5, None)
     @example(fair_chain(parse_strategy(PAPER), AB, j=4), 1600, 7, 5, None)
     def test_equals_literal(self, spec, coups, stride, seed, chunk):
-        # CHUNK = 1000 folds nothing, 2**14 folds short periods at small J
-        # over many chunks; at the real CHUNK the run crosses one boundary.
+        # At the real CHUNK the run crosses one chunk boundary.
         chunk = chunk or simulate.CHUNK
         coups = max(coups, stride) + (chunk - 1500 if chunk > 3000 else 0)
         with mock.patch.object(simulate, "CHUNK", chunk):
-            trajectory = cumulative_trajectory(spec, coups, seed, stride)
-        expected = literal_two_point_trajectory(spec, coups, seed, stride)
-        assert trajectory[:, 1].tobytes() == expected.tobytes()
-
-    def test_fold_bound(self, monkeypatch):
-        calls = []
-        table = simulate._profit_table
-        monkeypatch.setattr(simulate, "_profit_table", lambda *args: calls.append(args) or table(*args))
-        paper = [fair_chain(parse_strategy(self.PAPER), self.AB, j=j) for j in (2, 3, 4, 11)]
-        for spec in paper:
-            cumulative_trajectory(spec, 1000, 1, 10)
-        # 17 classes of min(J, 9) * 256 rows against CHUNK // 8 = 16384 stake rows.
-        assert [j for _, j in calls] == [2, 3]
-        # Integer payouts are read off the ledger; multipoint arms keep their sampler.
-        mode_e, mode_o = mills_modes()
-        cumulative_trajectory(single_arm_chain(0.4, u=2.0), 1000, 1, 10)
-        cumulative_trajectory(ChainSpec(sequence=("A", "B"), arms={"A": mode_e, "B": mode_o}, j=2), 1000, 1, 10)
-        assert len(calls) == 2
-        monkeypatch.setattr(simulate, "CHUNK", 1000)
-        cumulative_trajectory(fair_chain(parse_strategy("AB"), self.AB), 1000, 1, 10)
-        assert len(calls) == 2
-
-    def test_table_rows(self):
-        # AAB: 3 classes, bytes starting at positions 0, 2 and 1.
-        u_a, u_b = 1.5, 4.25
-        table = simulate._profit_table((u_a, u_a, u_b), 2)
-        assert table.shape == (3 * 2 * 256, 8) and not table.flags.writeable
-        assert simulate._profit_table((u_a, u_a, u_b), 2) is table
-        stakes = simulate._award_tables(2)[1]
-        for cls, first in enumerate((0, 2, 1)):
-            paid = np.array([(u_a, u_a, u_b)[(first + i) % 3] for i in range(8)])
-            for phase in (0, 1):
-                for byte in (0, 0b10110001, 255):
-                    wins = np.array([byte >> i & 1 for i in range(8)], bool)
-                    row = table[(cls * 2 + phase) * 256 + byte]
-                    assert row.tolist() == (stakes[phase * 256 + byte] - wins * paid).tolist()
+            trajectory = cumulative_trajectory(spec, coups, seed, stride)[:, 1]
+        # Counts are integers, so the chunk size moves no bit.
+        assert trajectory.tobytes() == cumulative_trajectory(spec, coups, seed, stride)[:, 1].tobytes()
+        expected = literal_trajectory(spec, coups, seed, stride)
+        if all(arm.u.is_integer() for arm in spec.arms.values()):
+            assert trajectory.tobytes() == expected.tobytes()
+        else:
+            assert np.abs(trajectory - expected).max() <= rounding_bound(spec, expected)
 
 
 class TestDegenerateArms:
@@ -468,12 +509,14 @@ class TestLedger:
 
 class TestTrajectory:
     def test_final_point_equals_ledger(self):
-        spec = fair_chain(parse_strategy("AB"), PROBS)
-        ledger = simulate_once(spec, 4000, 3)
-        trajectory = cumulative_trajectory(spec, 4000, 3, stride=500)
-        assert trajectory.shape == (8, 2)
-        assert trajectory[-1, 0] == 4000
-        assert trajectory[-1, 1] == pytest.approx(ledger.casino_profit_total, abs=1e-9)
+        for spec in [fair_chain(parse_strategy("AB"), PROBS), *fractional_specs()]:
+            for coups, stride in ((4000, 500), (300_001, 7)):
+                ledger = simulate_once(spec, coups, 3)
+                trajectory = cumulative_trajectory(spec, coups, 3, stride=stride)
+                assert trajectory.shape == (coups // stride, 2)
+                assert trajectory[-1, 0] == coups // stride * stride
+                if coups % stride == 0:
+                    assert trajectory[-1, 1] == ledger.casino_profit_total
 
     def test_final_point_exact_for_integer_payouts(self):
         mode_e, mode_o = mills_modes()
@@ -484,18 +527,16 @@ class TestTrajectory:
             assert trajectory[-1, 1] == ledger.casino_profit_total
 
     def test_final_point_within_rounding_for_fractional_payouts(self):
-        # Adding a term to a running sum s errs by at most eps/2 * |s|, and
-        # forming 1 - payout by eps/2 * |1 - payout|: half the bound below.
-        # The ledger's pairwise payout sum errs by at most
-        # eps/2 * log2(coups) * sum(payouts), well inside the other half.
-        spec = fair_chain(parse_strategy("AB"), PROBS)
-        coups = 1_000_000
-        ledger = simulate_once(spec, coups, 3)
-        trajectory = cumulative_trajectory(spec, coups, 3, stride=1)
-        largest_term = 1.0 + max(fair_payout(p) for p in (PROBS.p_a, PROBS.p_b)) + spec.j
-        bound = np.finfo(float).eps * coups * (np.abs(trajectory[:, 1]).max() + largest_term)
-        gap = abs(trajectory[-1, 1] - ledger.casino_profit_total)
-        assert gap <= bound
+        # Every row is read off integer counts as the ledger is, so the last
+        # one is the ledger bit for bit, and every row is within rounding of
+        # the literal per-coup running sum.
+        for spec in [fair_chain(parse_strategy("AB"), PROBS), *fractional_specs()]:
+            coups = 100_000
+            ledger = simulate_once(spec, coups, 3)
+            trajectory = cumulative_trajectory(spec, coups, 3, stride=1)
+            assert trajectory[-1, 1] == ledger.casino_profit_total
+            reference = literal_trajectory(spec, coups, 3, 1)
+            assert np.abs(trajectory[:, 1] - reference).max() <= rounding_bound(spec, reference)
 
     def test_stride_equal_to_coups(self):
         spec = fair_chain(parse_strategy("AB"), PROBS)
@@ -513,7 +554,7 @@ class TestTrajectory:
 
 
 class TestLedgerMarks:
-    """The exact trajectory path (marks read off the ledger) against the sequential running sum.
+    """Marks read off the run's counts against the literal per-coup running sum, exact with integer payouts.
 
     The chunk shrinks to 1000 coups: 1000 for AB and AAABB, 1002 for AAB,
     whose chunks end inside a byte. Stride 7 puts marks inside bytes,
@@ -531,11 +572,6 @@ class TestLedgerMarks:
                 yield ChainSpec(sequence=tuple(text), arms={"A": mode_e, "B": mode_o}, j=j)
             yield ChainSpec(sequence=tuple("AAB"), arms={"A": mode_e, "B": TwoPointArm(0.4, 2.0)}, j=j)
 
-    @staticmethod
-    def trajectory(spec, coups, seed, stride, exact):
-        chunks = simulate._pattern_chunks(spec, coups, seed)
-        return simulate._trajectory(chunks, spec.j, stride, exact)
-
     def test_paths_bit_identical(self, monkeypatch):
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
         for spec in self.specs():
@@ -545,45 +581,37 @@ class TestLedgerMarks:
                     if stride > coups:
                         continue
                     seed = coups + stride + spec.j
-                    exact = self.trajectory(spec, coups, seed, stride, exact=True)
-                    assert np.array_equal(exact, self.trajectory(spec, coups, seed, stride, exact=False))
-                    assert np.array_equal(cumulative_trajectory(spec, coups, seed, stride)[:, 1], exact)
-            # The last coup's mark is the ledger, by construction.
+                    expected = literal_trajectory(spec, coups, seed, stride)
+                    assert np.array_equal(cumulative_trajectory(spec, coups, seed, stride)[:, 1], expected)
+            # The last coup's mark is the ledger.
             ledger = simulate_once(spec, self.COUPS, 5)
             assert cumulative_trajectory(spec, self.COUPS, 5, self.COUPS)[-1, 1] == ledger.casino_profit_total
 
-    def test_path_choice(self, monkeypatch):
-        def exact_path(*args):
-            raise AssertionError("exact path")
-
-        monkeypatch.setattr(simulate, "_ledger_marks", exact_path)
-        mode_e, mode_o = mills_modes()
-        mills = ChainSpec(sequence=("A", "B"), arms={"A": mode_e, "B": mode_o}, j=2)
-        with pytest.raises(AssertionError, match="exact path"):
-            cumulative_trajectory(mills, 1000, 1, 10)
-        fractional = [
-            fair_chain(parse_strategy("AB"), PROBS),
-            ChainSpec(sequence=("A", "B"), arms={"A": mode_e, "B": TwoPointArm(0.4, 2.5)}, j=2),
-        ]
-        for spec in fractional:
-            cumulative_trajectory(spec, 1000, 1, 10)
-        # 1000 coups * (J + 150) reach a limit of 1000 * 152: sequential.
-        monkeypatch.setattr(simulate, "_EXACT_LIMIT", 1000 * 152)
-        cumulative_trajectory(mills, 1000, 1, 10)
-        with pytest.raises(AssertionError, match="exact path"):
-            cumulative_trajectory(mills, 999, 1, 10)
-
     def test_marks_sharing_bytes(self, monkeypatch):
-        # Strides 1-7 put several marks in one byte and, at each chunk's
-        # start, one in byte 0; reduceat's segments between marks of one
-        # byte are empty.
+        # Strides 1-7 put several marks in one byte and one word and, at each
+        # chunk's start, one in word 0; reduceat's segments between marks of
+        # one word are empty.
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
         for spec in self.specs():
             for stride in range(1, 8):
                 for coups in sorted({stride, 9, 1003, self.COUPS}):
                     seed = 31 * coups + stride + spec.j
-                    exact = self.trajectory(spec, coups, seed, stride, exact=True)
-                    assert np.array_equal(exact, self.trajectory(spec, coups, seed, stride, exact=False))
+                    expected = literal_trajectory(spec, coups, seed, stride)
+                    assert np.array_equal(cumulative_trajectory(spec, coups, seed, stride)[:, 1], expected)
+
+
+def test_layout_reuses_cached_arm_data(monkeypatch):
+    # The warm-up lays out the pattern once; a later run reads the layout
+    # from the cache and never recounts the arms' thresholds.
+    mode_e, mode_o = mills_modes()
+    spec = ChainSpec(sequence=("E", "O", "O"), arms={"E": mode_e, "O": mode_o}, j=2)
+    expected = simulate_once(spec, 50_000, 3)
+
+    def rebuilt(arm):
+        raise AssertionError("arm thresholds recounted")
+
+    monkeypatch.setattr(simulate, "_arm_regions", rebuilt)
+    assert simulate_once(spec, 50_000, 3) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -596,22 +624,9 @@ def test_sums_before(values, cuts):
     values = np.array(values, np.intp)
     ends = np.sort(np.ceil(np.array(cuts) * values.size).clip(1, values.size).astype(np.intp))
     expected = [int(values[:end].sum()) for end in ends]
-    assert simulate._sums_before(values, ends, np.intp).tolist() == expected
-    assert simulate._sums_before(values.astype(float), ends, float).tolist() == expected
-
-
-def test_table_sampler_reuses_cached_arm_data(monkeypatch):
-    # The warm-up builds each arm's bin table and split-bin data; a later
-    # run reads them from the cache and never recounts the arms' entries.
-    mode_e, mode_o = mills_modes()
-    spec = ChainSpec(sequence=("E", "O", "O"), arms={"E": mode_e, "O": mode_o}, j=2)
-    expected = simulate_once(spec, 50_000, 3)
-
-    def rebuilt(arm):
-        raise AssertionError("arm entries rebuilt")
-
-    monkeypatch.setattr(simulate, "_arm_entries", rebuilt)
-    assert simulate_once(spec, 50_000, 3) == expected
+    assert simulate._sums_before(values, ends).tolist() == expected
+    # Rows are summed alike, each on its own.
+    assert simulate._sums_before(np.stack([values, 2 * values]), ends).tolist() == [expected, [2 * e for e in expected]]
 
 
 def assert_statistically_close(grand_mean, oracle, standard_error, context):
@@ -698,12 +713,17 @@ class TestConfigValidation:
             simulate_once(fair_chain(parse_strategy("AB"), PROBS), 0, 1)
 
     def test_counts_must_be_integers(self):
-        with pytest.raises(DomainError, match="integer"):
-            SimConfig(coups=1.5)
-        with pytest.raises(DomainError, match="integer"):
-            SimConfig(replications=2.0)
-        with pytest.raises(DomainError, match="integer"):
-            simulate_once(fair_chain(parse_strategy("AB"), PROBS), 100.0, 1)
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        # bool is an int subclass, but True is no count.
+        for bad in (1.5, 2.0, True, np.True_):
+            with pytest.raises(DomainError, match="integer"):
+                SimConfig(coups=bad)
+            with pytest.raises(DomainError, match="integer"):
+                SimConfig(replications=bad)
+            with pytest.raises(DomainError, match="integer"):
+                simulate_once(spec, bad, 1)
+            with pytest.raises(DomainError, match="integer"):
+                cumulative_trajectory(spec, 100, 1, stride=bad)
 
     def test_workers_below_one(self):
         spec = fair_chain(parse_strategy("AB"), PROBS)
@@ -748,7 +768,7 @@ class TestConfigValidation:
 
     def test_seed_range(self):
         spec = fair_chain(parse_strategy("AB"), PROBS)
-        for seed in (-5, 2**64, 0.5):
+        for seed in (-5, 2**64, 0.5, True, np.True_):
             with pytest.raises(DomainError, match="seed"):
                 SimConfig(master_seed=seed)
             with pytest.raises(DomainError, match="seed"):
