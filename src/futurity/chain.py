@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, SolverFailure
-from .formulas import ArmProbabilities, _check_gamma, fair_payout
+from .formulas import ArmProbabilities, _award_rate, _check_gamma, _lap_gap, fair_payout
 from .machines import ArmModel, MultipointDistribution, TwoPointArm, expected_payout, win_probability
 from .strategy import MAX_PATTERN_LENGTH, Strategy
 
@@ -185,17 +185,16 @@ def _streak_distributions(p_seq: list[float], j: int) -> tuple[list[list[float]]
     linear part is G * (shift by n mod J), so the fixed point splits into
     scalar recurrences along the residue classes modulo g, each of length
     L = J/g. A class's start value is its accumulated constant over the gap
-    1 - G^L = -expm1(L * sum(log1p(-p_i))), which is 1 if some p_i is 1. A
-    zero gap means every p_i is 0: the start vector is then g/J on the
-    streaks c = 0 (mod g). The forward pass back to position 0 is the check.
+    1 - G^L (_lap_gap). A zero gap means every p_i is 0: the start vector is
+    then g/J on the streaks c = 0 (mod g). The forward pass back to position
+    0 is the check.
     """
     n = len(p_seq)
     q_seq = [1.0 - p for p in p_seq]
     loss_product = math.prod(q_seq)
     g = math.gcd(n, j)
     length = j // g
-    # G = 0 (some p_i is 1, where log1p(-p_i) would raise) leaves a gap of 1.
-    gap = -math.expm1(length * sum(math.log1p(-p) for p in p_seq)) if loss_product else 1.0
+    gap = _lap_gap(p_seq, length)
 
     def advance(w: list[float], i: int) -> list[float]:
         q, p = q_seq[i], p_seq[i]
@@ -229,6 +228,13 @@ def _streak_distributions(p_seq: list[float], j: int) -> tuple[list[list[float]]
     return dists, residual
 
 
+def _checked_size(spec: ChainSpec) -> tuple[int, int]:
+    """(n, J) of a chain of at most MAX_CHAIN_STATES states; larger ones are refused."""
+    if spec.n * spec.j > MAX_CHAIN_STATES:
+        raise DomainError(f"chain would have {spec.n * spec.j} states, above the cap of {MAX_CHAIN_STATES}")
+    return spec.n, spec.j
+
+
 def oracle_profit(spec: ChainSpec, method: str = "recurrence") -> ChainSolution:
     """Exact per-coup futurity rate and casino profit of a chain.
 
@@ -238,9 +244,7 @@ def oracle_profit(spec: ChainSpec, method: str = "recurrence") -> ChainSolution:
     player's return are derived once; they agree well below the 1e-12
     residual tolerance. Chains above MAX_CHAIN_STATES states are refused.
     """
-    n, j = spec.n, spec.j
-    if n * j > MAX_CHAIN_STATES:
-        raise DomainError(f"chain would have {n * j} states, above the cap of {MAX_CHAIN_STATES}")
+    n, j = _checked_size(spec)
     p_seq = spec.win_probabilities()
 
     if method == "dense":
@@ -264,6 +268,17 @@ def oracle_profit(spec: ChainSpec, method: str = "recurrence") -> ChainSolution:
         player_return=player_return,
         residual=residual,
     )
+
+
+def rate_profit(spec: ChainSpec) -> float:
+    """Casino profit per coup via the award rate: 1 - mean payout - J*rate.
+
+    A check of oracle_profit that shares no solver with it, to an absolute
+    error of a few n*J*eps (see _award_rate). Refuses what oracle_profit does.
+    """
+    n, j = _checked_size(spec)
+    mean_payout = sum(e * (1.0 / n) for e in spec.expected_payouts())
+    return 1.0 - (mean_payout + j * _award_rate(spec.win_probabilities(), j))
 
 
 def mixture_chain(gamma: float, probs: ArmProbabilities, j: int = 2) -> ChainSpec:

@@ -19,7 +19,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from .chain import ChainSpec, fair_chain, oracle_profit, single_arm_chain
+from .chain import ChainSpec, fair_chain, oracle_profit, rate_profit, single_arm_chain
 from .errors import FuturityError, SolverFailure
 from .formulas import ArmProbabilities, ProfitReport, exact_profit, random_mix_profit
 from .machines import (
@@ -39,7 +39,7 @@ ORACLE_AGREEMENT_TOL = 1e-9
 #: Most points per axis of a sweep grid; a sweep evaluates up to its square.
 MAX_GRID_POINTS = 999
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class UsageError(FuturityError):
@@ -225,7 +225,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_random_sweep(args) -> int:
     _check_out(args.out)
-    gammas = sorted(args.gamma) if args.gamma else [0.1, 0.3, 0.5, 0.7, 0.9]
+    gammas = sorted(set(args.gamma)) if args.gamma else [0.1, 0.3, 0.5, 0.7, 0.9]
     values = _grid(args.grid_step)
 
     header = ["gamma", "p_a", "p_b", "r_c"]
@@ -253,6 +253,7 @@ def cmd_simulate(args) -> int:
     seed = _seed_from_flags(args)
     config = SimConfig(coups=args.coups, replications=args.reps, master_seed=seed)
     oracle = oracle_profit(spec).casino_profit
+    rate_value = rate_profit(spec)
     result = replicate(spec, config, workers=args.workers)
     z_score = (
         (result.grand_mean - oracle) / result.standard_error
@@ -275,8 +276,8 @@ def cmd_simulate(args) -> int:
         "grand_mean": result.grand_mean,
         "sample_sd": result.sample_sd,
         "standard_error": result.standard_error,
-        "count_formula_grand_mean": result.count_formula_grand_mean,
         "oracle_value": oracle,
+        "rate_value": rate_value,
         "z_score": z_score,
     }
     sys.stdout.write(_json(summary))

@@ -1,15 +1,16 @@
 """Closed-form long-run profit of the two-armed Futurity machine.
 
-All expressions assume the standard setting: stake 1 coin per coup, futurity
-threshold J = 2, and both arms individually fairness-calibrated so a single
-arm played alone returns the stake exactly. Under those rules the casino's
-asymptotic profit per coup for a periodic pattern factorizes as
+The closed forms assume the standard setting: stake 1 coin per coup,
+futurity threshold J = 2, and both arms individually fairness-calibrated so
+a single arm played alone returns the stake exactly. Under those rules the
+casino's asymptotic profit per coup for a periodic pattern factorizes as
 
     profit = 2 * Q * S
 
 where Q depends only on the block structure of the pattern and S only on the
 play counts (r, s) and the two win probabilities. A second, independent
-expression reaches the same number through per-coup futurity-award rates.
+expression reaches the same number through per-coup futurity-award rates,
+which _award_rate gives for any cyclic win-probability sequence and any J.
 
 Sign convention: all profits here are casino profit per coup, nonnegative,
 and zero exactly when the two arms share one win probability.
@@ -92,7 +93,7 @@ def single_arm_futurity_rate(p: float) -> float:
     Equals q^2/(1 + q) with q = 1 - p: the stationary chance that the current
     coup completes a pair of consecutive losses. Lies in (0, 1/2).
     """
-    return futurity_refund_per_coup(1.0 - _check_probability("p", p)) / 2.0
+    return _award_rate([_check_probability("p", p)], 2)
 
 
 def b_sequence(blocks: BlockVector, probs: ArmProbabilities) -> tuple[float, ...]:
@@ -187,35 +188,49 @@ def ars_profit(r: int, s: int, probs: ArmProbabilities) -> float:
     return 2.0 * s_factor(r, s, probs) * _period_gap(r, 0, probs) * _period_gap(0, s, probs)
 
 
-def futurity_rate_strategy(strategy: Strategy, probs: ArmProbabilities) -> float:
-    """Per-coup futurity-award rate of a periodic pattern.
+def _lap_gap(p_seq, laps: int) -> float:
+    """1 - G^laps, G = prod(1 - p); -expm1(laps * sum(log1p(-p))), or 1 if some p is 1."""
+    return 1.0 if 1.0 in p_seq else -math.expm1(laps * sum(math.log1p(-p) for p in p_seq))
 
-    With p_i / q_i the win / loss probability of the arm at cyclic position
-    i, the rate is (1/n) * sum_j p_j * V_j, where
 
-        V_j = sum_{k>=1} prod_{i=j+1..j+2k} q_i = q_{j+1} q_{j+2} (1 + V_{j+2}).
+def _award_rate(p_seq, j: int) -> float:
+    """Per-coup futurity-award rate of a cyclic sequence of win probabilities.
 
-    The n-step walks j -> j+2 from positions 0 and 1 close with product G^2,
-    G = q_a^r q_b^s, and together visit every position twice. A lap of the
-    recurrence from V = 0 gives a walk's start V times 1 - G^2; a second lap
-    gives each V_j on the walk. O(n); rotation invariant.
+    A win at i pays an award at each J-th loss after it, so the rate is
+    (1/n) * sum_i p_i * V_i with V_i = prod_{k=i+1..i+J} q_k * (1 + V_{i+J}).
+    The walk i -> i - J runs along the g = gcd(n, J) residue classes, each
+    closing after n/g steps with product G^(J/g), G = prod(q). U = d * V,
+    with d the lap gap 1 - G^(J/g), obeys the recurrence with d for 1: a lap
+    of V from 0 gives a class's start U, a second lap each U_i, finite even
+    where d is subnormal. O(n*J). All p = 0 gives d = 0 and an award every J
+    coups: 1/J. A profit built on this rate subtracts O(1) rates, so it is an
+    absolute cross-check, not relatively accurate when the profit is small.
     """
-    p_seq = [probs.p_a if ch == "A" else probs.p_b for ch in strategy.symbols]
-    q_seq = [1.0 - p for p in p_seq]
     n = len(p_seq)
-    lap_gap = _period_gap(2 * strategy.r, 2 * strategy.s, probs)
+    g = math.gcd(n, j)
+    gap = _lap_gap(p_seq, j // g)
+    if not gap:
+        return 1.0 / j
+    q_seq = [1.0 - p for p in p_seq]
+    steps = [1.0] * n  # steps[i] = q_{i+1} * ... * q_{i+J}, one rotated pass per k
+    for k in range(1, j + 1):
+        shift = k % n
+        steps = [step * q for step, q in zip(steps, q_seq[shift:] + q_seq[:shift])]
     total = 0.0
-    for start in (0, 1):
-        walk = [j % n for j in range(start + 2 * n - 2, start - 1, -2)]
-        steps = [q_seq[(j + 1) % n] * q_seq[(j + 2) % n] for j in walk]
-        v = 0.0
-        for step in steps:
-            v = step * (1.0 + v)
-        v /= lap_gap
-        for j, step in zip(walk, steps):
-            v = step * (1.0 + v)
-            total += p_seq[j] * v
-    return total / (2 * n)
+    for start in range(g):
+        walk = [(start + k * j) % n for k in range(n // g - 1, -1, -1)]
+        u = 0.0
+        for i in walk:
+            u = steps[i] * (1.0 + u)
+        for i in walk:
+            u = steps[i] * (gap + u)
+            total += p_seq[i] * u
+    return total / (n * gap)
+
+
+def futurity_rate_strategy(strategy: Strategy, probs: ArmProbabilities) -> float:
+    """Per-coup futurity-award rate of a periodic pattern at J = 2; see _award_rate."""
+    return _award_rate([probs.p_a if ch == "A" else probs.p_b for ch in strategy.symbols], 2)
 
 
 def profit_via_rates(strategy: Strategy, probs: ArmProbabilities) -> float:
@@ -262,34 +277,23 @@ def block_swap_delta(blocks: BlockVector, probs: ArmProbabilities) -> float:
     return 2.0 * s_val * last_a * last_b * (forward + backward)
 
 
-def futurity_refund_per_coup(loss_probability: float) -> float:
-    """Expected futurity coins refunded per coup for i.i.d. losses.
-
-    Equals 2*z^2/(1 + z) at per-coup loss probability z: the award rate
-    z^2/(1 + z) times the 2-coin refund. Convex in z, which is what makes
-    mixing two individually fair arms profitable for the casino.
-    """
-    z = float(loss_probability)
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"loss probability must lie in [0, 1], got {z!r}")
-    return 2.0 * z * z / (1.0 + z)
-
-
 def random_mix_profit(gamma: float, probs: ArmProbabilities) -> float:
     """Casino profit per coup when each coup picks arm A with probability gamma.
 
-    Independent draws make the loss sequence i.i.d. with loss probability
-    q_mix = gamma*q_a + (1-gamma)*q_b, so the profit is the Jensen gap of the
-    convex refund function f(z) = 2z^2/(1+z):
+    Independent draws make the outcomes i.i.d. with win probability
+    p_mix = gamma*p_a + (1-gamma)*p_b. A fair arm returns p*u + 2*rate = 1,
+    so the profit is twice the Jensen gap of the convex single-arm rate:
 
-        gamma*f(q_a) + (1-gamma)*f(q_b) - f(q_mix)
+        2 * (gamma*rate(p_a) + (1-gamma)*rate(p_b) - rate(p_mix))
 
-    Nonnegative; zero when gamma is 0 or 1 or the arms coincide.
+    Nonnegative; exactly zero when gamma is 0 or 1 or the arms coincide.
     """
     gamma = _check_gamma(gamma)
-    q_mix = gamma * probs.q_a + (1.0 - gamma) * probs.q_b
-    return (
-        gamma * futurity_refund_per_coup(probs.q_a)
-        + (1.0 - gamma) * futurity_refund_per_coup(probs.q_b)
-        - futurity_refund_per_coup(q_mix)
+    if probs.p_a == probs.p_b:
+        return 0.0
+    p_mix = gamma * probs.p_a + (1.0 - gamma) * probs.p_b
+    return 2.0 * (
+        gamma * _award_rate([probs.p_a], 2)
+        + (1.0 - gamma) * _award_rate([probs.p_b], 2)
+        - _award_rate([p_mix], 2)
     )

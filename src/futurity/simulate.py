@@ -152,18 +152,6 @@ class Ledger:
     def mean_profit(self) -> float:
         return self.casino_profit_total / self.coups_played
 
-    @property
-    def count_formula_mean(self) -> float:
-        """(M - W - J*C)/M with W the win count, for comparison only.
-
-        Treats every win as returning exactly 1 coin, so it matches
-        mean_profit only when all payouts are 1; with calibrated payouts the
-        ledger number is the correct one.
-        """
-        return (
-            self.coups_played - self.win_count - self.j * self.futurity_events
-        ) / self.coups_played
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -173,7 +161,6 @@ class SimResult:
     grand_mean: float
     sample_sd: float
     standard_error: float
-    count_formula_grand_mean: float
 
 
 def _scratch_array(size: int, dtype, name: str) -> np.ndarray:
@@ -574,31 +561,15 @@ def simulate_mixture_once(
     return _ledger(spec, coups, seed)
 
 
-def _aggregate(rep_means: np.ndarray, count_means: np.ndarray) -> SimResult:
-    reps = rep_means.size
-    grand = float(rep_means.mean())
-    sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0
-    return SimResult(
-        rep_means=rep_means,
-        grand_mean=grand,
-        sample_sd=sd,
-        standard_error=sd / reps**0.5 if reps > 1 else 0.0,
-        count_formula_grand_mean=float(count_means.mean()),
-    )
-
-
 def _run_replications(run_one, config: SimConfig, workers: int) -> SimResult:
     _check_count("workers", workers)
     if workers > MAX_WORKERS:
         raise DomainError(f"workers {workers} exceed cap {MAX_WORKERS}")
     reps = config.replications
     rep_means = np.empty(reps)
-    count_means = np.empty(reps)
 
     def task(k: int) -> None:
-        ledger = run_one(config.coups, derive_seed(config.master_seed, k))
-        rep_means[k] = ledger.mean_profit
-        count_means[k] = ledger.count_formula_mean
+        rep_means[k] = run_one(config.coups, derive_seed(config.master_seed, k)).mean_profit
 
     if workers == 1:
         for k in range(reps):
@@ -606,7 +577,8 @@ def _run_replications(run_one, config: SimConfig, workers: int) -> SimResult:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(task, range(reps)))
-    return _aggregate(rep_means, count_means)
+    sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0
+    return SimResult(rep_means, float(rep_means.mean()), sd, sd / reps**0.5 if reps > 1 else 0.0)
 
 
 def replicate(spec: ChainSpec, config: SimConfig, workers: int = 1) -> SimResult:

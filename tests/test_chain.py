@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from futurity import (
     ArmProbabilities,
@@ -13,16 +15,21 @@ from futurity import (
     TwoPointArm,
     build_chain,
     chain,
+    empirical_two_point,
     exact_profit,
     fair_chain,
     fair_payout,
+    fair_two_point,
+    mills_modes,
     mixture_chain,
     oracle_profit,
     parse_strategy,
     random_mix_profit,
+    rate_profit,
     single_arm_chain,
     stationary,
 )
+from futurity.formulas import _award_rate
 from test_formulas import CORNER_PAIRS, CORNER_PATTERNS
 
 PROBS = ArmProbabilities(0.3, 0.7)
@@ -275,6 +282,90 @@ class TestOracleProfit:
         assert elapsed < 10.0
         assert solution.residual <= 1e-12
         assert solution.stationary.size == 100_000
+
+
+def rate_bound(spec):
+    """Absolute agreement bound of rate_profit with the oracle: 4*n*J*eps."""
+    return 4 * spec.n * spec.j * 2.0**-52
+
+
+MODE_E, MODE_O = mills_modes()
+MILLS_ARMS = [
+    {"A": reduce(MODE_E), "B": reduce(MODE_O)}
+    for reduce in (fair_two_point, empirical_two_point, lambda mode: mode)
+]
+PAPER_PATTERN = "AAAABBBBAAAAAABBB"
+
+two_point_arms = st.builds(
+    TwoPointArm, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), st.floats(0.0, 3.0)
+)
+
+
+@st.composite
+def chain_specs(draw):
+    """Chains of 1..40 positions on up to 3 two-point or Mills arms, J = 2..12."""
+    labels = "ABC"[: draw(st.integers(1, 3))]
+    arm = st.one_of(two_point_arms, st.sampled_from([MODE_E, MODE_O]))
+    arms = {label: draw(arm) for label in labels}
+    sequence = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=40))
+    return ChainSpec(tuple(sequence), arms, j=draw(st.integers(2, 12)))
+
+
+class TestRateProfit:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_specs())
+    def test_matches_oracle(self, spec):
+        oracle = oracle_profit(spec).casino_profit
+        assert abs(rate_profit(spec) - oracle) <= rate_bound(spec)
+
+    def test_mills_at_larger_j(self):
+        for arms in MILLS_ARMS:
+            for text in ("AB", "AAABB", PAPER_PATTERN):
+                for j in (3, 5):
+                    spec = ChainSpec(parse_strategy(text).symbols, arms, j=j)
+                    oracle = oracle_profit(spec).casino_profit
+                    assert abs(rate_profit(spec) - oracle) <= rate_bound(spec), (text, j)
+
+    @pytest.mark.parametrize("p_a, p_b", CORNER_PAIRS)
+    def test_rate_matches_rational_recurrence(self, p_a, p_b):
+        probs = ArmProbabilities(p_a, p_b)
+        for text in ("AB", "AAB", "AABAB", PAPER_PATTERN):
+            for j in (3, 5, 11):
+                spec = fair_chain(parse_strategy(text), probs, j=j)
+                _, rate, _ = rational_recurrence(spec)
+                error = abs(Fraction(_award_rate(spec.win_probabilities(), j)) - rate) / rate
+                assert error <= 1e-14, (text, j)
+
+    def test_all_loss_chain(self):
+        # no coup ever wins: the gap is 0 and an award lands every J coups
+        for n, j in [(1, 2), (2, 2), (3, 2), (2, 3), (4, 6), (5, 12)]:
+            spec = ChainSpec(("L",) * n, {"L": TwoPointArm(0.0, 2.0)}, j=j)
+            assert _award_rate(spec.win_probabilities(), j) == 1.0 / j
+            assert rate_profit(spec) == oracle_profit(spec).casino_profit == 0.0
+
+    def test_all_win_chain(self):
+        for n, j in [(1, 2), (3, 2), (2, 5)]:
+            spec = ChainSpec(("W",) * n, {"W": TwoPointArm(1.0, 1.25)}, j=j)
+            assert _award_rate(spec.win_probabilities(), j) == 0.0
+            assert rate_profit(spec) == oracle_profit(spec).casino_profit == -0.25
+
+    def test_subnormal_win_probabilities_stay_finite(self):
+        # the lap gap is subnormal here, so the walk must not form V = U / gap
+        for p in (1e-310, 5e-324):
+            for n, j in [(1, 2), (3, 2), (4, 3)]:
+                spec = ChainSpec(("A",) * n, {"A": TwoPointArm(p, 1.0)}, j=j)
+                assert rate_profit(spec) == pytest.approx(oracle_profit(spec).casino_profit, abs=rate_bound(spec))
+
+    def test_state_cap(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the rate was walked before the chain's size was checked")
+
+        monkeypatch.setattr(chain, "_award_rate", unreachable)
+        arms = {"A": TwoPointArm(0.5, 1.0)}
+        with pytest.raises(DomainError, match="cap"):
+            rate_profit(ChainSpec(("A",) * 2, arms, j=chain.MAX_CHAIN_STATES // 2 + 1))
+        with pytest.raises(AssertionError, match="walked"):
+            rate_profit(ChainSpec(("A",) * 2, arms, j=chain.MAX_CHAIN_STATES // 2))
 
 
 class TestMixtureChain:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -54,7 +55,7 @@ class TestExact:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["profit"] == pytest.approx(0.007952515906215223, rel=1e-10)
         assert payload["abs_difference"] <= 1e-9
         assert (payload["h"], payload["r"], payload["s"]) == (1, 2, 2)
@@ -210,6 +211,21 @@ class TestRandomSweep:
         assert header[-1] == "r_c_uncorrected_sign"
         assert float(rows[0][4]) == -float(rows[0][3])
 
+    def test_fine_grid_is_nonnegative_and_zero_on_the_diagonal(self, capsys, tmp_path):
+        out_path = tmp_path / "fine.csv"
+        code, _, _ = run_cli(capsys, "random-sweep", "--grid-step", "0.01", "--out", str(out_path))
+        assert code == 0
+        _, rows = csv_rows(out_path.read_text(encoding="utf-8"))
+        assert len(rows) == 5 * 99 * 99
+        assert all(float(row[3]) >= 0.0 for row in rows)
+        assert all(row[3] == "0" for row in rows if row[1] == row[2])
+
+    def test_repeated_gamma_printed_once(self, capsys, tmp_path):
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        run_cli(capsys, "random-sweep", "--gamma", "0.5", "--out", str(once))
+        run_cli(capsys, "random-sweep", "--gamma", "0.5", "--gamma", "0.50", "--out", str(twice))
+        assert twice.read_bytes() == once.read_bytes()
+
     @pytest.mark.parametrize("gamma", ["-0.1", "1.5", "nan", "inf"])
     def test_gamma_out_of_range_exits_2(self, capsys, tmp_path, gamma):
         out_path = tmp_path / "random.csv"
@@ -231,7 +247,7 @@ class TestSimulate:
         )
         assert code == 0
         summary = json.loads(out)
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert summary["master_seed"] == 7
         assert abs(summary["z_score"]) < 6.0
         header, rows = csv_rows(out_path.read_text(encoding="utf-8"))
@@ -300,6 +316,22 @@ class TestSimulate:
         # uncalibrated Mills arms under a 2-loss refund favor the player
         assert summary["oracle_value"] < 0.0
         assert abs(summary["z_score"]) < 6.0
+
+    def test_rate_value_checks_multipoint_run_at_larger_j(self, capsys, tmp_path):
+        machine_path = tmp_path / "mills.machine"
+        mode_e, mode_o = mills_modes()
+        machine_path.write_text(format_machine_file(mode_e, mode_o), encoding="utf-8")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--strategy", "AAABB", "--machine", str(machine_path),
+            "--reduction", "multipoint", "--j", "3",
+            "--coups", "2000", "--reps", "20", "--seed", "3", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        summary = strict_json(out)
+        assert summary["schema_version"] == 2
+        assert "count_formula_grand_mean" not in summary
+        # absolute bound 4*n*J*eps, n = 5 positions at J = 3
+        assert abs(summary["rate_value"] - summary["oracle_value"]) <= 4 * 5 * 3 * 2.0**-52
 
     def test_zero_standard_error_gives_null_z_score(self, capsys, tmp_path):
         # both modes always pay, so every replication has the same mean
@@ -389,6 +421,23 @@ class TestSimulate:
         )
         assert code == 2
         assert "cap" in err
+        assert out == ""
+        assert not out_path.exists()
+
+
+    def test_rate_route_refuses_oversized_chain(self, capsys, tmp_path, monkeypatch):
+        # with the oracle stubbed out, the rate route's own cap check refuses the chain
+        monkeypatch.setattr(cli, "oracle_profit", lambda spec: SimpleNamespace(casino_profit=0.0))
+        monkeypatch.setattr(chain, "_award_rate", unreachable)
+        monkeypatch.setattr(simulate, "_pattern_chunks", unreachable)
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            "--coups", "100", "--reps", "4", "--seed", "1", "--j", "100000000",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert_one_line(err, "error: chain would have")
         assert out == ""
         assert not out_path.exists()
 

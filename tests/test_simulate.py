@@ -495,17 +495,6 @@ class TestLedger:
         )
         assert ledger.futurity_refunds == ledger.j * ledger.futurity_events
 
-    def test_count_formula_differs_with_fractional_payouts(self):
-        spec = fair_chain(parse_strategy("AB"), PROBS)
-        ledger = simulate_once(spec, 50_000, 17)
-        # payout != 1 coin makes the win-count reading drift from the ledger
-        assert abs(ledger.count_formula_mean - ledger.mean_profit) > 1e-4
-
-    def test_count_formula_matches_when_payout_is_one(self):
-        spec = single_arm_chain(0.4, u=1.0)
-        ledger = simulate_once(spec, 5_000, 19)
-        assert ledger.count_formula_mean == pytest.approx(ledger.mean_profit, abs=1e-12)
-
 
 class TestTrajectory:
     def test_final_point_equals_ledger(self):
