@@ -290,10 +290,9 @@ def cmd_trajectory(args) -> int:
     _check_out(args.out)
     seed = _seed_from_flags(args)
     trajectory = cumulative_trajectory(spec, args.coups, seed, args.stride)
-    header = ["coup", "cumulative_profit"]
-    # Python floats format faster than numpy scalars, and print the same text.
-    rows = [[str(int(coup)), _fmt(profit)] for coup, profit in trajectory.tolist()]
-    _write_text(args.out, _csv(header, rows))
+    # One format per row over Python floats: the text of _csv with _fmt, in half the time.
+    lines = ["%d,%.9g\n" % (coup, profit) for coup, profit in trajectory.tolist()]
+    _write_text(args.out, "".join(["coup,cumulative_profit\n", *lines]))
     return 0
 
 

@@ -286,7 +286,10 @@ def random_mix_profit(gamma: float, probs: ArmProbabilities) -> float:
 
         2 * (gamma*rate(p_a) + (1-gamma)*rate(p_b) - rate(p_mix))
 
-    Nonnegative; exactly zero when gamma is 0 or 1 or the arms coincide.
+    Nonnegative in exact arithmetic, and exactly zero when gamma is 0 or 1
+    or the arms coincide. The difference of O(1) rates rounds, so arms a
+    hair apart can return a few ulps below zero: -3 * eps at worst on
+    20000 draws with |p_a - p_b| <= 1e-6.
     """
     gamma = _check_gamma(gamma)
     if probs.p_a == probs.p_b:

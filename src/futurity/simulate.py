@@ -7,10 +7,11 @@ is stakes minus win payouts minus futurity refunds, which stays correct for
 fractional payouts where counting wins would not.
 
 One path plays every run, CHUNK coups at a time (rounded up to whole
-pattern periods), so a run of any length needs O(CHUNK) memory, plus the
-trajectory marks it returns. Each chunk's Generator.random uniforms, one
-per coup, are compared in one broadcast with every position's distinct
-inverse-CDF thresholds in (0, 1) (_arm_regions): plane t holds u < c_t.
+pattern periods), so a run of any length needs O(CHUNK) memory per
+thread, plus the trajectory marks it returns. Each chunk's
+Generator.random uniforms, one per coup, are compared in one broadcast
+with every position's distinct inverse-CDF thresholds in (0, 1)
+(_arm_regions): plane t holds u < c_t.
 A coup's entry is searchsorted(thresholds, u, "right") clipped to K - 1,
 and it changes only at those thresholds, so the planes fix it. One
 np.packbits call packs the planes 8 coups to a byte. A two-point arm has
@@ -52,11 +53,23 @@ Generator.random, whose uniform is (w >> 11) * 2**-53; drawing the words
 in chunks reads the same stream as one draw of M, and nothing reads the
 stream after the run. An i.i.d. mixture run plays chain.mixture_chain's
 one-position pattern, a three-point arm.
+
+A trajectory of 2 * _SEGMENT_CHUNKS * CHUNK coups or more is split into
+one segment of whole chunks per _SEGMENT_CHUNKS * CHUNK coups, at most
+one per usable core and MAX_WORKERS in all, each on its own thread. A
+segment's stream is PCG64(seed) advanced by its first coup
+(PCG64.advance, O(log n)), so every coup still reads its own word. Each
+segment counts from zero, and the merge adds the earlier segments'
+counts and corrects the awards up to the segment's first win for the
+loss run carried in. A split run's rows therefore equal the whole run's,
+bit for bit, on any number of cores. A ledger is one segment: replicate
+already runs replications in parallel.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -79,6 +92,10 @@ MAX_WORKERS = 64
 MAX_TRAJECTORY_POINTS = 10**7
 # Coups per row of a chunk, before rounding up to whole pattern periods.
 _ROW = 1 << 12
+# Fewest chunks per segment of a split trajectory. Each extra segment's
+# thread allocates its own scratch for the call (2.4 MB for a Mills
+# pattern), so shorter runs stay on one thread, in O(CHUNK) memory.
+_SEGMENT_CHUNKS = 16
 
 _scratch = threading.local()
 
@@ -94,6 +111,14 @@ def derive_seed(master_seed: int, index: int) -> int:
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
 
 
 def _is_integer(value) -> bool:
@@ -360,8 +385,23 @@ def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> in
     return k - 1 - int(last[-1])
 
 
-def _pattern_chunks(layout: _Layout, coups: int, seed: int, j: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The bit rows of a pattern run, chunk by chunk; one Generator.random uniform per coup.
+@dataclass
+class _Segment:
+    """Coups [first, end) of a run, played as if a win came just before `first`.
+
+    Playing it sets `losses`, the loss run it leaves open, and, when it
+    starts after coup 0, `first_win`, the offset of its first win from
+    `first` (None while it has none).
+    """
+
+    first: int
+    end: int
+    first_win: int | None = None
+    losses: int = 0
+
+
+def _pattern_chunks(layout: _Layout, segment: _Segment, seed: int, j: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The bit rows of a run's segment, chunk by chunk; one Generator.random uniform per coup.
 
     Yields each chunk's coup count k and its rows as 64-bit words, bit i
     of a row for coup i: row 0 marks the award coups, row 1 + q the coups
@@ -370,9 +410,13 @@ def _pattern_chunks(layout: _Layout, coups: int, seed: int, j: int) -> Iterator[
     threshold, and _awards clears its bits there. Only the run's last
     chunk ends inside a row, so a win bit set past its end (a position
     whose last region wins) moves only the loss run it leaves open, which
-    nothing reads.
+    nothing reads. The segment's stream is PCG64(seed) advanced by its
+    first coup, so its coups read the words a whole run reads.
     """
-    rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
+    stream = np.random.PCG64(_check_seed(seed))
+    if segment.first:
+        stream.advance(segment.first)
+    rng = np.random.Generator(stream)
     row, step = layout.row, layout.step
     planes = layout.thresholds.shape[0]
     uniforms = _scratch_array(step, float, "uniforms")
@@ -382,8 +426,8 @@ def _pattern_chunks(layout: _Layout, coups: int, seed: int, j: int) -> Iterator[
     words = _scratch_array((1 + layout.pair_planes.size) * width, np.uint64, "bits").reshape(-1, width)
     bits = words.view(np.uint8)
     losses = 0
-    for start in range(0, coups, step):
-        k = min(step, coups - start)
+    for start in range(segment.first, segment.end, step):
+        k = min(step, segment.end - start)
         rows = -(-k // row)
         rng.random(out=uniforms[:k])
         uniforms[k : rows * row] = 1.0
@@ -392,7 +436,12 @@ def _pattern_chunks(layout: _Layout, coups: int, seed: int, j: int) -> Iterator[
         size = packed.shape[1]
         win = np.bitwise_xor.reduce(packed & layout.flips[:, :size], axis=0) ^ layout.always[:size]
         used = -(-k // 8)
-        losses = _awards(win[:used], k, j, losses, bits[0, :used])
+        if segment.first and segment.first_win is None:
+            hits = np.flatnonzero(win[:used])
+            if hits.size:
+                byte = int(win[hits[0]])
+                segment.first_win = start - segment.first + 8 * int(hits[0]) + (byte & -byte).bit_length() - 1
+        segment.losses = losses = _awards(win[:used], k, j, losses, bits[0, :used])
         np.bitwise_and(packed[layout.pair_planes, :used], layout.pair_masks[:, :used], out=bits[1:, :used])
         chunk_words = -(-k // 64)
         bits[:, used : 8 * chunk_words] = 0
@@ -442,15 +491,18 @@ def _sums_before(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.cumsum(segments, axis=-1, out=segments)
 
 
-def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None) -> np.ndarray:
+def _tally(
+    chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, start: int = 0, close: bool = False
+) -> np.ndarray:
     """Bit counts of a run's rows at coups stride, 2*stride, ..., or, without a stride, at its end.
 
     Returns one int64 row per mark: the coups played, then the count of
     each bit row's set bits up to that coup. A mark's count is the chunks
     before its own, plus the words before its word (_sums_before of the
-    per-word counts), plus its word's bits up to its coup.
+    per-word counts), plus its word's bits up to its coup. The chunks
+    start at coup `start` of the run, which places the marks and the
+    first column; `close` adds a row at the last coup after the marks.
     """
-    start = 0
     totals = None
     values = []
     for k, words in chunks:
@@ -469,9 +521,43 @@ def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None) 
                 values.append(np.vstack([start + 1 + marks, counted]).T)
         totals += counts.sum(axis=1)
         start += k
-    if stride is None:
-        return np.array([[start, *totals]])
+    if stride is None or close:
+        values.append(np.array([[start, *totals]]))
     return np.concatenate(values)
+
+
+def _split_tally(layout: _Layout, coups: int, seed: int, j: int, stride: int, segments: int) -> np.ndarray:
+    """_tally at the marks of a run played as `segments` segments of whole chunks, one thread each.
+
+    Segment 0 runs on this thread. Each segment counts from zero; the
+    merge adds the counts of the segments before it, and corrects its
+    award count up to its first win f, where the loss run L open at its
+    start moves the awards: over the first c = min(coups played, f) coups
+    the run pays (L + c) // J - L // J awards where the segment counted
+    c // J. A segment without a win passes L plus its length on.
+    """
+    chunks = -(-coups // layout.step)
+    cuts = [i * chunks // segments * layout.step for i in range(segments)] + [coups]
+    parts = [_Segment(first, end) for first, end in zip(cuts, cuts[1:])]
+
+    def play(part: _Segment) -> np.ndarray:
+        return _tally(_pattern_chunks(layout, part, seed, j), stride, part.first, True)
+
+    with ThreadPoolExecutor(max_workers=segments - 1) as pool:
+        helpers = [pool.submit(play, part) for part in parts[1:]]
+        tallies = [play(parts[0]), *(helper.result() for helper in helpers)]
+    before = np.zeros(tallies[0].shape[1] - 1, np.int64)
+    losses = 0
+    for part, rows in zip(parts, tallies):
+        rows[:, 1:] += before
+        if losses % j:
+            covered = rows[:, 0] - part.first
+            if part.first_win is not None:
+                np.minimum(covered, part.first_win, out=covered)
+            rows[:, 1] += (losses + covered) // j - losses // j - covered // j
+        before = rows[-1, 1:]
+        losses = part.losses + (losses if part.first_win is None else 0)
+    return np.concatenate([rows[:-1] for rows in tallies])
 
 
 def _outcomes(layout: _Layout, tallies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,16 +575,25 @@ def _outcomes(layout: _Layout, tallies: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _run(
-    spec: ChainSpec, coups: int, seed: int, stride: int | None = None
+    spec: ChainSpec, coups: int, seed: int, stride: int | None = None, segments: int = 1
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Tallies (_tally) of a pattern run and its outcomes (_outcomes) at them."""
+    """Tallies (_tally) of a pattern run and its outcomes (_outcomes) at them.
+
+    A trajectory (a run with a stride) is split into `segments`, at most
+    one per chunk, by _split_tally; its tallies are the same for every
+    split.
+    """
     n = spec.n
     row = -(-min(_ROW, CHUNK, coups) // n) * n
     step = -(-min(CHUNK, coups) // row) * row
     arms = tuple((label, spec.arms[label]) for label in dict.fromkeys(spec.sequence))
     layout = _layout(spec.sequence, arms, row, step)
-    # Positional: stand-ins for the chunk generator take *args.
-    tallies = _tally(_pattern_chunks(layout, coups, seed, spec.j), stride)
+    segments = min(segments, -(-coups // step))
+    if segments > 1:
+        tallies = _split_tally(layout, coups, seed, spec.j, stride, segments)
+    else:
+        # Positional: stand-ins for the chunk generator take *args.
+        tallies = _tally(_pattern_chunks(layout, _Segment(0, coups), seed, spec.j), stride)
     return tallies, _outcomes(layout, tallies)
 
 
@@ -541,7 +636,8 @@ def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -
         raise DomainError(
             f"{coups // stride} trajectory points exceed cap {MAX_TRAJECTORY_POINTS}; raise the stride"
         )
-    tallies, (_, paid) = _run(spec, coups, seed, stride)
+    segments = min(_usable_cores(), MAX_WORKERS, coups // (_SEGMENT_CHUNKS * CHUNK))
+    tallies, (_, paid) = _run(spec, coups, seed, stride, max(segments, 1))
     return np.column_stack([tallies[:, 0], (tallies[:, 0] - paid) - spec.j * tallies[:, 1]])
 
 

@@ -99,6 +99,26 @@ def test_raw_words_make_generator_uniforms():
             )
 
 
+def test_advanced_stream_reads_the_serial_words():
+    """PCG64(seed) advanced by s draws words s, s + 1, ... of the serial stream, as a split run's segments do."""
+    for seed in (0, 7, 2**64 - 1):
+        words = np.random.PCG64(seed).random_raw(3000)
+        uniforms = np.random.Generator(np.random.PCG64(seed)).random(3000)
+        for s in (1, 63, 64, 1000, 2999):
+            stream = np.random.PCG64(seed)
+            stream.advance(s)
+            assert np.array_equal(stream.random_raw(3000 - s), words[s:])
+            stream = np.random.PCG64(seed)
+            stream.advance(s)
+            assert np.array_equal(np.random.Generator(stream).random(3000 - s), uniforms[s:])
+        # Far jumps compose: 2**40 + 5 words in one advance or in two.
+        one, two = np.random.PCG64(seed), np.random.PCG64(seed)
+        one.advance(2**40 + 5)
+        two.advance(2**40)
+        two.advance(5)
+        assert np.array_equal(one.random_raw(4), two.random_raw(4))
+
+
 def test_arm_regions_are_cached():
     arm = MultipointDistribution(((0.0, 0.5), (2.0, 0.0), (3.0, 0.5)))
     # The zero-probability entry ties its threshold with the first one.

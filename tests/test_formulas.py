@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -437,6 +438,17 @@ class TestRandomMixProfit:
 
     def test_diagonal_zero(self):
         assert random_mix_profit(0.5, ArmProbabilities(0.3, 0.3)) == 0.0
+
+    def test_rounding_below_zero_stays_within_ulps(self):
+        # Near the diagonal the rate differences cancel to a value of order
+        # (p_a - p_b)**2, and rounding can leave it a few ulps below zero.
+        rng = random.Random(20000)
+        worst = 0.0
+        for _ in range(20000):
+            p_a = rng.uniform(0.01, 0.99)
+            p_b = p_a + rng.choice((-1, 1)) * rng.choice((1e-16, 1e-12, 1e-9, 1e-6))
+            worst = min(worst, random_mix_profit(rng.random(), ArmProbabilities(p_a, p_b)))
+        assert worst >= -8 * sys.float_info.epsilon
 
     def test_nonnegative_grid(self):
         for gamma in [k / 10 for k in range(11)]:

@@ -589,6 +589,78 @@ class TestLedgerMarks:
                     assert np.array_equal(cumulative_trajectory(spec, coups, seed, stride)[:, 1], expected)
 
 
+class TestSplitRuns:
+    """A trajectory split into segments, each from an advanced PCG64 stream, against the whole run.
+
+    The chunk shrinks to 64 coups (66 for AAB), so runs of about a
+    thousand coups split into up to 5 segments of several chunks; 1003
+    and 2047 coups end inside a chunk. Arms that never win, win with
+    probability 1e-9 or always win make whole segments winless or
+    lossless, so the open loss run carries across several segments.
+    """
+
+    CHUNK = 64
+    NEVER = MultipointDistribution(((0.0, 1.0),))
+    ARMS = {
+        "mills": dict(zip("AB", mills_modes())),
+        "fair": {label: fair_two_point(mode) for label, mode in zip("AB", mills_modes())},
+        "rare": {"A": TwoPointArm(1e-9, 2.0), "B": MultipointDistribution(((0.0, 1 - 1e-9), (3.0, 1e-9)))},
+        "never": {"A": NEVER, "B": TwoPointArm(0.0, 2.0)},
+        "always": {"A": MultipointDistribution(((2.0, 1.0),)), "B": TwoPointArm(1.0, 1.5)},
+        "mixed": {"A": NEVER, "B": TwoPointArm(0.5, 1.7)},
+    }
+
+    @pytest.mark.parametrize("j", [2, 3, 5, 11])
+    def test_segments_bit_identical(self, monkeypatch, j):
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        for name, arms in self.ARMS.items():
+            for text in ("AB", "AAB"):
+                spec = ChainSpec(sequence=tuple(text), arms=arms, j=j)
+                for coups in (1003, 2047):
+                    seed = coups + 10 * j + len(name)
+                    for stride in (1, 7, coups):
+                        whole, (wins, paid) = simulate._run(spec, coups, seed, stride, 1)
+                        for segments in range(2, 6):
+                            split, outcomes = simulate._run(spec, coups, seed, stride, segments)
+                            assert split.tobytes() == whole.tobytes(), (name, text, coups, stride, segments)
+                            assert outcomes[0].tobytes() == wins.tobytes()
+                            assert outcomes[1].tobytes() == paid.tobytes()
+
+    def test_split_trajectory_ends_at_the_ledger(self, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        monkeypatch.setattr(simulate, "_SEGMENT_CHUNKS", 1)
+        for name, arms in self.ARMS.items():
+            spec = ChainSpec(sequence=tuple("AAB"), arms=arms, j=3)
+            ledger = simulate_once(spec, 2047, 8)
+            trajectories = []
+            for cores in range(1, 6):
+                monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+                trajectories.append(cumulative_trajectory(spec, 2047, 8, stride=7).tobytes())
+                assert cumulative_trajectory(spec, 2047, 8, stride=2047)[-1, 1] == ledger.casino_profit_total
+            assert trajectories == trajectories[:1] * 5, name
+
+    def test_segment_count(self, monkeypatch):
+        # One segment per usable core, each at least _SEGMENT_CHUNKS chunks;
+        # a ledger is never split.
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        counts = []
+        split_tally = simulate._split_tally
+
+        def counted(layout, coups, seed, j, stride, segments):
+            counts.append(segments)
+            return split_tally(layout, coups, seed, j, stride, segments)
+
+        monkeypatch.setattr(simulate, "_split_tally", counted)
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        chunks = simulate._SEGMENT_CHUNKS * self.CHUNK
+        for cores, coups, expected in ((3, chunks, []), (3, 2 * chunks, [2]), (3, 9 * chunks, [3]), (1, 9 * chunks, [])):
+            monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+            counts.clear()
+            cumulative_trajectory(spec, coups, 4, stride=coups)
+            simulate_once(spec, coups, 4)
+            assert counts == expected, (cores, coups)
+
+
 def test_layout_reuses_cached_arm_data(monkeypatch):
     # The warm-up lays out the pattern once; a later run reads the layout
     # from the cache and never recounts the arms' thresholds.
