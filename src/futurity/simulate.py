@@ -54,20 +54,22 @@ in chunks reads the same stream as one draw of M, and nothing reads the
 stream after the run. An i.i.d. mixture run plays chain.mixture_chain's
 one-position pattern, a three-point arm.
 
-A trajectory of 2 * _SEGMENT_CHUNKS * CHUNK coups or more is split into
-one segment of whole chunks per _SEGMENT_CHUNKS * CHUNK coups, at most
-one per usable core and MAX_WORKERS in all, each on its own thread. A
+Every run is cut into one or more segments of whole chunks, each played
+on its own thread and merged in one pass (_run). _run alone picks the
+count: a ledger is one segment, since replicate already runs
+replications in parallel, and a trajectory one per _SEGMENT_CHUNKS *
+CHUNK coups, at most one per usable core and MAX_WORKERS in all. A
 segment's stream is PCG64(seed) advanced by its first coup
 (PCG64.advance, O(log n)), so every coup still reads its own word. Each
 segment counts from zero, and the merge adds the earlier segments'
 counts and corrects the awards up to the segment's first win for the
-loss run carried in. A split run's rows therefore equal the whole run's,
-bit for bit, on any number of cores. A ledger is one segment: replicate
-already runs replications in parallel.
+loss run carried in. A run's rows are therefore the same, bit for bit,
+on any number of cores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import threading
@@ -491,17 +493,15 @@ def _sums_before(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.cumsum(segments, axis=-1, out=segments)
 
 
-def _tally(
-    chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, start: int = 0, close: bool = False
-) -> np.ndarray:
-    """Bit counts of a run's rows at coups stride, 2*stride, ..., or, without a stride, at its end.
+def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, start: int = 0) -> np.ndarray:
+    """Bit counts of a run's rows at coups stride, 2*stride, ... (none without a stride), then at its end.
 
-    Returns one int64 row per mark: the coups played, then the count of
-    each bit row's set bits up to that coup. A mark's count is the chunks
-    before its own, plus the words before its word (_sums_before of the
-    per-word counts), plus its word's bits up to its coup. The chunks
-    start at coup `start` of the run, which places the marks and the
-    first column; `close` adds a row at the last coup after the marks.
+    Returns one int64 row per mark and a last row at the end: the coups
+    played, then the count of each bit row's set bits up to that coup. A
+    mark's count is the chunks before its own, plus the words before its
+    word (_sums_before of the per-word counts), plus its word's bits up to
+    its coup. The chunks start at coup `start` of the run, which places
+    the marks and the first column.
     """
     totals = None
     values = []
@@ -521,43 +521,8 @@ def _tally(
                 values.append(np.vstack([start + 1 + marks, counted]).T)
         totals += counts.sum(axis=1)
         start += k
-    if stride is None or close:
-        values.append(np.array([[start, *totals]]))
+    values.append(np.array([[start, *totals]]))
     return np.concatenate(values)
-
-
-def _split_tally(layout: _Layout, coups: int, seed: int, j: int, stride: int, segments: int) -> np.ndarray:
-    """_tally at the marks of a run played as `segments` segments of whole chunks, one thread each.
-
-    Segment 0 runs on this thread. Each segment counts from zero; the
-    merge adds the counts of the segments before it, and corrects its
-    award count up to its first win f, where the loss run L open at its
-    start moves the awards: over the first c = min(coups played, f) coups
-    the run pays (L + c) // J - L // J awards where the segment counted
-    c // J. A segment without a win passes L plus its length on.
-    """
-    chunks = -(-coups // layout.step)
-    cuts = [i * chunks // segments * layout.step for i in range(segments)] + [coups]
-    parts = [_Segment(first, end) for first, end in zip(cuts, cuts[1:])]
-
-    def play(part: _Segment) -> np.ndarray:
-        return _tally(_pattern_chunks(layout, part, seed, j), stride, part.first, True)
-
-    with ThreadPoolExecutor(max_workers=segments - 1) as pool:
-        helpers = [pool.submit(play, part) for part in parts[1:]]
-        tallies = [play(parts[0]), *(helper.result() for helper in helpers)]
-    before = np.zeros(tallies[0].shape[1] - 1, np.int64)
-    losses = 0
-    for part, rows in zip(parts, tallies):
-        rows[:, 1:] += before
-        if losses % j:
-            covered = rows[:, 0] - part.first
-            if part.first_win is not None:
-                np.minimum(covered, part.first_win, out=covered)
-            rows[:, 1] += (losses + covered) // j - losses // j - covered // j
-        before = rows[-1, 1:]
-        losses = part.losses + (losses if part.first_win is None else 0)
-    return np.concatenate([rows[:-1] for rows in tallies])
 
 
 def _outcomes(layout: _Layout, tallies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -575,25 +540,52 @@ def _outcomes(layout: _Layout, tallies: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _run(
-    spec: ChainSpec, coups: int, seed: int, stride: int | None = None, segments: int = 1
+    spec: ChainSpec, coups: int, seed: int, stride: int | None = None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Tallies (_tally) of a pattern run and its outcomes (_outcomes) at them.
+    """Tallies (_tally) of a pattern run at its marks, or at its end without a stride, and their outcomes.
 
-    A trajectory (a run with a stride) is split into `segments`, at most
-    one per chunk, by _split_tally; its tallies are the same for every
-    split.
+    The run's segments (see the module notes) play on one thread each,
+    segment 0 on this one. The merge adds to each segment the counts of
+    those before it, and corrects its award count up to its first win f,
+    where the loss run L open at its start moves the awards: over the
+    first c = min(coups played, f) coups the run pays
+    (L + c) // J - L // J awards where the segment counted c // J. A
+    segment without a win passes L plus its length on.
     """
-    n = spec.n
+    n, j = spec.n, spec.j
     row = -(-min(_ROW, CHUNK, coups) // n) * n
     step = -(-min(CHUNK, coups) // row) * row
     arms = tuple((label, spec.arms[label]) for label in dict.fromkeys(spec.sequence))
     layout = _layout(spec.sequence, arms, row, step)
-    segments = min(segments, -(-coups // step))
-    if segments > 1:
-        tallies = _split_tally(layout, coups, seed, spec.j, stride, segments)
-    else:
+    chunks = -(-coups // step)
+    segments = 1 if stride is None else min(_usable_cores(), MAX_WORKERS, coups // (_SEGMENT_CHUNKS * CHUNK), chunks)
+    segments = max(segments, 1)
+    parts = [
+        _Segment(i * chunks // segments * step, min((i + 1) * chunks // segments * step, coups))
+        for i in range(segments)
+    ]
+
+    def play(part: _Segment) -> np.ndarray:
         # Positional: stand-ins for the chunk generator take *args.
-        tallies = _tally(_pattern_chunks(layout, _Segment(0, coups), seed, spec.j), stride)
+        return _tally(_pattern_chunks(layout, part, seed, j), stride, part.first)
+
+    with ThreadPoolExecutor(segments - 1) if segments > 1 else contextlib.nullcontext() as pool:
+        helpers = [pool.submit(play, part) for part in parts[1:]]
+        tallies = [play(parts[0]), *(helper.result() for helper in helpers)]
+    before, losses = tallies[0][-1, 1:], parts[0].losses
+    for part, rows in zip(parts[1:], tallies[1:]):
+        rows[:, 1:] += before
+        if losses % j:
+            covered = rows[:, 0] - part.first
+            if part.first_win is not None:
+                np.minimum(covered, part.first_win, out=covered)
+            rows[:, 1] += (losses + covered) // j - losses // j - covered // j
+        before = rows[-1, 1:]
+        losses = part.losses + (losses if part.first_win is None else 0)
+    # Each segment's tally ends at its last coup: a trajectory keeps its marks, a ledger the run's end.
+    tallies = tallies[-1] if stride is None else np.concatenate([rows[:-1] for rows in tallies])
+    # The futures and the merge still hold the segments' own tallies: free them before the outcomes.
+    helpers = rows = before = None
     return tallies, _outcomes(layout, tallies)
 
 
@@ -636,8 +628,7 @@ def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -
         raise DomainError(
             f"{coups // stride} trajectory points exceed cap {MAX_TRAJECTORY_POINTS}; raise the stride"
         )
-    segments = min(_usable_cores(), MAX_WORKERS, coups // (_SEGMENT_CHUNKS * CHUNK))
-    tallies, (_, paid) = _run(spec, coups, seed, stride, max(segments, 1))
+    tallies, (_, paid) = _run(spec, coups, seed, stride)
     return np.column_stack([tallies[:, 0], (tallies[:, 0] - paid) - spec.j * tallies[:, 1]])
 
 

@@ -366,6 +366,9 @@ class TestByteReduction:
             chunk, carried = award_chunk(mask, j, carried)
             chunks.append(chunk)
         tallies = simulate._tally(iter(chunks), stride=1)
+        # The last row is the run's end, here the same as its last mark.
+        assert tallies[-1].tolist() == tallies[-2].tolist()
+        tallies = tallies[:-1]
         whole_stakes, whole_awards, _ = streak_walk(np.concatenate([np.zeros(losses, bool), win]), j, 0)
         assert tallies[:, 0].tolist() == list(range(1, losses + size + 1))
         assert np.diff(tallies[:, 1], prepend=0).tolist() == [stake != 1.0 for stake in whole_stakes]
@@ -610,18 +613,38 @@ class TestSplitRuns:
         "mixed": {"A": NEVER, "B": TwoPointArm(0.5, 1.7)},
     }
 
+    @staticmethod
+    def played_segments(monkeypatch):
+        """Record the _Segment each _pattern_chunks call plays, in call order."""
+        played, chunks = [], simulate._pattern_chunks
+
+        def counted(layout, segment, seed, j):
+            played.append(segment)
+            return chunks(layout, segment, seed, j)
+
+        monkeypatch.setattr(simulate, "_pattern_chunks", counted)
+        return played
+
     @pytest.mark.parametrize("j", [2, 3, 5, 11])
     def test_segments_bit_identical(self, monkeypatch, j):
+        # One chunk per segment, so the usable cores set the segment count.
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        monkeypatch.setattr(simulate, "_SEGMENT_CHUNKS", 1)
+        played = self.played_segments(monkeypatch)
         for name, arms in self.ARMS.items():
             for text in ("AB", "AAB"):
                 spec = ChainSpec(sequence=tuple(text), arms=arms, j=j)
                 for coups in (1003, 2047):
                     seed = coups + 10 * j + len(name)
                     for stride in (1, 7, coups):
-                        whole, (wins, paid) = simulate._run(spec, coups, seed, stride, 1)
-                        for segments in range(2, 6):
-                            split, outcomes = simulate._run(spec, coups, seed, stride, segments)
+                        runs = []
+                        for segments in range(1, 6):
+                            monkeypatch.setattr(simulate, "_usable_cores", lambda: segments)
+                            played.clear()
+                            runs.append(simulate._run(spec, coups, seed, stride))
+                            assert len(played) == segments, (name, text, coups, stride, segments)
+                        whole, (wins, paid) = runs[0]
+                        for segments, (split, outcomes) in enumerate(runs[1:], 2):
                             assert split.tobytes() == whole.tobytes(), (name, text, coups, stride, segments)
                             assert outcomes[0].tobytes() == wins.tobytes()
                             assert outcomes[1].tobytes() == paid.tobytes()
@@ -643,22 +666,50 @@ class TestSplitRuns:
         # One segment per usable core, each at least _SEGMENT_CHUNKS chunks;
         # a ledger is never split.
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
-        counts = []
-        split_tally = simulate._split_tally
-
-        def counted(layout, coups, seed, j, stride, segments):
-            counts.append(segments)
-            return split_tally(layout, coups, seed, j, stride, segments)
-
-        monkeypatch.setattr(simulate, "_split_tally", counted)
+        played = self.played_segments(monkeypatch)
         spec = fair_chain(parse_strategy("AB"), PROBS)
         chunks = simulate._SEGMENT_CHUNKS * self.CHUNK
-        for cores, coups, expected in ((3, chunks, []), (3, 2 * chunks, [2]), (3, 9 * chunks, [3]), (1, 9 * chunks, [])):
+        for cores, coups, expected in ((3, chunks, 1), (3, 2 * chunks, 2), (3, 9 * chunks, 3), (1, 9 * chunks, 1)):
             monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
-            counts.clear()
+            played.clear()
             cumulative_trajectory(spec, coups, 4, stride=coups)
+            assert len(played) == expected, (cores, coups)
+            played.clear()
             simulate_once(spec, coups, 4)
-            assert counts == expected, (cores, coups)
+            assert len(played) == 1, (cores, coups)
+
+    def test_segment_tallies_freed_before_outcomes(self, monkeypatch):
+        # Once merged, the segments' own tallies are dropped: on entry to
+        # _outcomes a stride-1 run holds little besides the merged rows.
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        monkeypatch.setattr(simulate, "_SEGMENT_CHUNKS", 1)
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        outcomes, held = simulate._outcomes, []
+
+        def traced(layout, tallies):
+            held.append((tracemalloc.get_traced_memory()[0], tallies.nbytes))
+            return outcomes(layout, tallies)
+
+        monkeypatch.setattr(simulate, "_outcomes", traced)
+        for cores in (1, 3):
+            monkeypatch.setattr(simulate, "_usable_cores", lambda: cores)
+            cumulative_trajectory(spec, 20000, 5, stride=1)  # the layout is cached here
+            tracemalloc.start()
+            try:
+                cumulative_trajectory(spec, 20000, 5, stride=1)
+            finally:
+                tracemalloc.stop()
+            current, merged = held[-1]
+            assert current < 1.5 * merged, (cores, current, merged)
+
+
+def test_usable_cores_without_affinity(monkeypatch):
+    # Where os has no sched_getaffinity, every CPU counts, and at least one.
+    monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 6)
+    assert simulate._usable_cores() == 6
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    assert simulate._usable_cores() == 1
 
 
 def test_layout_reuses_cached_arm_data(monkeypatch):
