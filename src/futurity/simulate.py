@@ -39,8 +39,16 @@ win gives the last win before every byte, and that win's offset from the
 byte's first coup, mod J and capped at 8, is the byte's phase. A table per
 J, keyed by phase and byte, gives the byte's award coups as bits. The loss
 run still open at a chunk's end carries into the next one. This is a
-streak walk, bit for bit. Bit counts use a SWAR popcount on 64-bit words,
-so any numpy release runs them.
+streak walk, bit for bit. Bit counts take one np.bitwise_count call per
+chunk, or on numpy 1.x, which lacks it, a SWAR popcount on 64-bit words.
+
+Split trajectories and replicate's workers play chunks on several
+threads at once. After the draw, a chunk's pass is a few dozen numpy
+calls that release the GIL, each only 5-20 us on a 2**17-coup chunk,
+and calls that short barely overlap across threads. So the pass makes
+few, large calls: one popcount call, coup offsets in int32 in the award
+pass (half the bytes of int64), and the award scan written to a buffer
+of its own, since numpy holds the GIL through a scan written in place.
 
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
@@ -73,6 +81,7 @@ import contextlib
 import functools
 import os
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -198,7 +207,7 @@ def _scratch_array(size: int, dtype, name: str) -> np.ndarray:
     named buffers instead of allocating per run.
     """
     buffer = getattr(_scratch, name, None)
-    if buffer is None or buffer.size < size:
+    if buffer is None or buffer.size < size or buffer.dtype != dtype:
         buffer = np.zeros(size, dtype)
         setattr(_scratch, name, buffer)
     return buffer[:size]
@@ -259,9 +268,41 @@ class _Layout:
     won: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
+# Bytes of layout arrays _layout keeps. One 10**6-position Mills layout
+# (MAX_PATTERN_LENGTH) holds 47.3 MiB, so its replications still share one.
+_LAYOUT_CACHE_BYTES = 64 << 20
+_layouts: OrderedDict[tuple, _Layout] = OrderedDict()
+_layouts_lock = threading.Lock()
+
+
 def _layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Layout:
-    """The _Layout of a pattern; `arms` holds (label, arm) for each label in the sequence. Read-only."""
+    """The _Layout of a pattern; `arms` holds (label, arm) for each label in the sequence. Read-only.
+
+    Layouts are cached, least recently used out first, while their arrays
+    total at most _LAYOUT_CACHE_BYTES; one larger than that is not kept.
+    """
+    key = (sequence, arms, row, step)
+    with _layouts_lock:
+        if key in _layouts:
+            _layouts.move_to_end(key)
+            return _layouts[key]
+    layout = _build_layout(sequence, arms, row, step)
+    if _nbytes(layout) <= _LAYOUT_CACHE_BYTES:
+        with _layouts_lock:
+            _layouts[key] = layout
+            total = sum(_nbytes(kept) for kept in _layouts.values())
+            # The new layout is the most recent, and it fits alone.
+            while total > _LAYOUT_CACHE_BYTES:
+                total -= _nbytes(_layouts.popitem(last=False)[1])
+    return layout
+
+
+def _nbytes(layout: _Layout) -> int:
+    return sum(array.nbytes for array in vars(layout).values() if isinstance(array, np.ndarray))
+
+
+def _build_layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Layout:
+    """The _Layout of a pattern, built afresh (see _layout)."""
     codes = {label: code for code, (label, _) in enumerate(arms)}
     owner = np.array([codes[label] for label in sequence])
     tables = [_arm_regions(arm) for _, arm in arms]
@@ -313,7 +354,11 @@ def _layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Lay
 
 
 # Highest win bit of each byte of a packed win mask; far below any coup index when none.
-_HIGH_WIN = np.array([byte.bit_length() - 1 if byte else -(1 << 62) for byte in range(256)])
+_HIGH_WIN = np.array([byte.bit_length() - 1 if byte else -(1 << 31) for byte in range(256)], np.int32)
+# From this J on, the carried run's residue -1 - losses % J can meet int32's
+# "no win" entries, so the award pass scans in int64.
+_WIDE_J = 1 << 30
+_HIGH_WIN_WIDE = np.where(_HIGH_WIN < 0, np.int64(-(1 << 62)), _HIGH_WIN)
 
 
 @functools.lru_cache(maxsize=16)
@@ -344,7 +389,7 @@ def _byte_starts(size: int) -> np.ndarray:
     """0, 8, 16, ...: the first coup of each of `size` bytes, this thread's copy."""
     starts = getattr(_scratch, "byte_starts", None)
     if starts is None or starts.size < size:
-        starts = np.arange(0, 8 * size, 8)
+        starts = np.arange(0, 8 * size, 8, dtype=np.int32)
         _scratch.byte_starts = starts
     return starts[:size]
 
@@ -356,24 +401,29 @@ def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> in
     bytes; bits from k on move only the returned run. The chunk continues a loss run of
     `losses` coups, whose last win is the virtual coup -1 - losses. A
     running maximum over each byte's highest win gives the last win
-    before every byte, and so its phase. Award bits from k on are
+    before every byte, and so its phase. A phase depends on that win only
+    mod j, so the scan starts from -1 - losses % j, which keeps coup
+    offsets in int32 for any J below _WIDE_J. Award bits from k on are
     cleared. Nothing is counted twice across chunks: the carried run's
     earlier awards are in earlier chunks, and the phase places its next
     one.
     """
     size = win.size
+    index, high_win = (np.int32, _HIGH_WIN) if j < _WIDE_J else (np.int64, _HIGH_WIN_WIDE)
     starts = _byte_starts(size)
-    last = _scratch_array(size + 1, np.intp, "last_win")
-    last[0] = -1 - losses
-    np.take(_HIGH_WIN, win, out=last[1:], mode="clip")
+    last = _scratch_array(size + 1, index, "last_win")
+    last[0] = -1 - losses % j
+    np.take(high_win, win, out=last[1:], mode="clip")
     np.add(last[1:], starts, out=last[1:])
-    np.maximum.accumulate(last, out=last)
-    keys = _scratch_array(size, np.intp, "keys")
+    # Into its own buffer: numpy holds the GIL through a scan written in place.
+    scan = _scratch_array(size + 1, index, "scan")
+    np.maximum.accumulate(last, out=scan)
+    keys = _scratch_array(size, index, "keys")
     if 8 % j == 0:
         # Every byte starts at a multiple of 8, so last - start = last mod j.
-        np.bitwise_and(last[:-1], j - 1, out=keys)
+        np.bitwise_and(scan[:-1], j - 1, out=keys)
     else:
-        np.subtract(last[:-1], starts, out=keys)
+        np.subtract(scan[:-1], starts, out=keys)
         # keys mod j: numpy's division by a scalar runs twice as fast as np.mod here.
         quotient = np.floor_divide(keys, j, out=last[:-1])
         keys -= np.multiply(quotient, j, out=quotient)
@@ -384,7 +434,9 @@ def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> in
     np.take(_award_tables(j), keys, out=out, mode="clip")
     if k & 7:
         out[-1] &= (1 << (k & 7)) - 1
-    return k - 1 - int(last[-1])
+    # A scan still at its seed saw no win: the whole carried run stays open.
+    last_win = int(scan[-1])
+    return k - 1 - last_win if last_win >= 0 else k + losses
 
 
 @dataclass
@@ -457,38 +509,56 @@ _ONE, _TWO, _FOUR, _TOP = (np.uint64(shift) for shift in (1, 2, 4, 56))
 _LOW_BITS = np.array([(2 << i) - 1 for i in range(64)], np.uint64)
 
 
-def _popcount(words: np.ndarray, temp: np.ndarray) -> np.ndarray:
-    """Bit count of each 64-bit word, in place, as int64; `temp` is scratch of the same shape.
+def _swar_popcount(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Bit count of each 64-bit word into `counts`, uint64 of the same shape; returns them as int64.
 
     SWAR: counts of bit pairs, then nibbles, then bytes, summed into the
-    top byte by one multiply. It needs no numpy 2 bitwise_count.
+    top byte by one multiply, in 13 calls. numpy 1.x, which has no
+    bitwise_count, counts this way.
     """
-    np.right_shift(words, _ONE, out=temp)
+    temp = _scratch_array(words.size, np.uint64, "popcount").reshape(words.shape)
+    np.copyto(counts, words)
+    np.right_shift(counts, _ONE, out=temp)
     np.bitwise_and(temp, _M1, out=temp)
-    np.subtract(words, temp, out=words)
-    np.right_shift(words, _TWO, out=temp)
+    np.subtract(counts, temp, out=counts)
+    np.right_shift(counts, _TWO, out=temp)
     np.bitwise_and(temp, _M2, out=temp)
-    np.bitwise_and(words, _M2, out=words)
-    np.add(words, temp, out=words)
-    np.right_shift(words, _FOUR, out=temp)
-    np.add(words, temp, out=words)
-    np.bitwise_and(words, _M4, out=words)
-    np.multiply(words, _BYTE_SUM, out=words)
-    np.right_shift(words, _TOP, out=words)
-    return words.view(np.int64)
+    np.bitwise_and(counts, _M2, out=counts)
+    np.add(counts, temp, out=counts)
+    np.right_shift(counts, _FOUR, out=temp)
+    np.add(counts, temp, out=counts)
+    np.bitwise_and(counts, _M4, out=counts)
+    np.multiply(counts, _BYTE_SUM, out=counts)
+    np.right_shift(counts, _TOP, out=counts)
+    return counts.view(np.int64)
+
+
+def _bitwise_popcount(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Bit count of each 64-bit word into `counts`, uint8 of the same shape, in one numpy 2 call.
+
+    Counting and summing a Mills chunk's 9 x 2048 words this way took 20
+    us against the SWAR's 77 (2 vCPUs, numpy 2.4.6), in one call that
+    releases the GIL instead of 13 short ones.
+    """
+    return np.bitwise_count(words, out=counts)
+
+
+# The popcount and the dtype of the counts it writes, fixed by the numpy installed.
+_popcount, _COUNTS = (_bitwise_popcount, np.uint8) if hasattr(np, "bitwise_count") else (_swar_popcount, np.uint64)
 
 
 def _sums_before(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """values[..., :e].sum(axis=-1) for each end e of the nondecreasing `ends`, 1 <= e <= values.shape[-1].
 
-    A sum per segment between ends, then a running sum over the segments.
-    reduceat gives an empty segment its first element, so those are zeroed.
+    A sum per segment between ends, then a running sum over the segments,
+    in int64 for any integer dtype of `values`. reduceat gives an empty
+    segment its first element, so those are zeroed.
     """
     starts = np.concatenate(([0], ends[:-1]))
     # Segments that start at the last end are empty; reduceat takes no index that far.
     inside = np.searchsorted(starts, ends[-1])
-    segments = np.zeros((*values.shape[:-1], ends.size), values.dtype)
-    segments[..., :inside] = np.add.reduceat(values[..., : ends[-1]], starts[:inside], axis=-1)
+    segments = np.zeros((*values.shape[:-1], ends.size), np.int64)
+    segments[..., :inside] = np.add.reduceat(values[..., : ends[-1]], starts[:inside], axis=-1, dtype=np.int64)
     segments[..., starts == ends] = 0
     return np.cumsum(segments, axis=-1, out=segments)
 
@@ -506,9 +576,7 @@ def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, 
     totals = None
     values = []
     for k, words in chunks:
-        counts = _scratch_array(words.size, np.uint64, "counts").reshape(words.shape)
-        np.copyto(counts, words)
-        counts = _popcount(counts, _scratch_array(words.size, np.uint64, "popcount").reshape(words.shape))
+        counts = _popcount(words, _scratch_array(words.size, _COUNTS, "counts").reshape(words.shape))
         if totals is None:
             totals = np.zeros(words.shape[0], np.int64)
         if stride is not None:
@@ -516,10 +584,10 @@ def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, 
             if marks.size:
                 at = marks >> 6
                 partial = words[:, at] & _LOW_BITS[marks & 63]
-                counted = _popcount(partial, np.empty_like(partial))
+                counted = _popcount(partial, np.empty(partial.shape, _COUNTS)).astype(np.int64)
                 counted += _sums_before(counts, at + 1) - counts[:, at] + totals[:, None]
                 values.append(np.vstack([start + 1 + marks, counted]).T)
-        totals += counts.sum(axis=1)
+        totals += counts.sum(axis=1, dtype=np.int64)
         start += k
     values.append(np.array([[start, *totals]]))
     return np.concatenate(values)

@@ -374,6 +374,19 @@ class TestByteReduction:
         assert np.diff(tallies[:, 1], prepend=0).tolist() == [stake != 1.0 for stake in whole_stakes]
         assert simulate._tally(iter(chunks)).tolist() == [[losses + size, whole_awards]]
 
+    @pytest.mark.parametrize("j", [(1 << 30) - 1, 1 << 30, 1 << 33])
+    def test_long_carried_run(self, j):
+        # A carried run too long for int32 places awards by its residue mod
+        # J and comes back whole when no win ends it; from _WIDE_J on, the
+        # pass scans in int64.
+        for win in (np.zeros(100, bool), np.arange(100) == 60):
+            for losses in (3 * j - 5, 2**40 + 7):
+                stakes, _, run = streak_walk(win, j, losses)
+                (_, words), open_run = award_chunk(win, j, losses)
+                assert open_run == run
+                award_bits = np.unpackbits(words.view(np.uint8), bitorder="little")[: win.size]
+                assert award_bits.tolist() == [stake != 1.0 for stake in stakes]
+
     def test_tables(self):
         for j in (2, 8, 9, 20):
             table = simulate._award_tables(j)
@@ -385,22 +398,41 @@ class TestByteReduction:
         assert simulate._award_tables(3)[0] == 0b01001001
 
     def test_popcount(self):
+        # Every popcount the installed numpy offers: the SWAR always, and
+        # bitwise_count, which the import picks wherever numpy has it.
+        paths = [(simulate._swar_popcount, np.uint64)]
+        if hasattr(np, "bitwise_count"):
+            paths.append((simulate._bitwise_popcount, np.uint8))
+        assert (simulate._popcount, simulate._COUNTS) == paths[-1]
         # Every byte value at every byte of a word, and random words.
         words = np.arange(256, dtype=np.uint64) << (8 * np.arange(8, dtype=np.uint64))[:, None]
         random_words = np.random.default_rng(5).integers(0, 2**63, 999, dtype=np.uint64) * np.uint64(3)
-        for block in (words, random_words, np.array([0, 2**64 - 1], np.uint64)):
-            counts = simulate._popcount(block.copy(), np.empty_like(block))
-            expected = [sum(bin(byte).count("1") for byte in int(word).to_bytes(8, "little")) for word in block.ravel()]
-            assert counts.ravel().tolist() == expected
+        blocks = (words, random_words, np.array([0, 2**64 - 1], np.uint64))
+        # Bit rows of three chunks, zero from each chunk's k on; strides put
+        # marks inside words and on chunk ends.
+        chunks = [(k, np.random.default_rng(k).integers(0, 2**64, (3, -(-k // 64)), dtype=np.uint64)) for k in (640, 517, 64)]
+        for k, rows in chunks:
+            rows[:, -1] &= simulate._LOW_BITS[(k - 1) & 63]
+        bits = np.concatenate([np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :k] for k, rows in chunks], axis=1)
+        tallies = []
+        for popcount, dtype in paths:
+            for block in blocks:
+                counts = popcount(block.copy(), np.empty(block.shape, dtype))
+                assert counts.ravel().tolist() == [bin(int(word)).count("1") for word in block.ravel()]
+            with mock.patch.multiple(simulate, _popcount=popcount, _COUNTS=dtype):
+                tallies.append([simulate._tally(iter(chunks), stride).tolist() for stride in (None, 1, 7, 64, 517)])
+        by_coup = [[coup + 1, *counts] for coup, counts in enumerate(np.cumsum(bits, axis=1).T.tolist())]
+        assert tallies[0][1] == by_coup + tallies[0][0]
+        # _tally's rows are the same on either path.
+        assert all(rows == tallies[0] for rows in tallies)
 
 
-def literal_trajectory(spec, coups, seed, stride):
-    """A run's running profit at its marks, coup by coup.
+def literal_walk(spec, coups, seed):
+    """Each coup's win flag, payout and stake, coup by coup.
 
     Draws the run's uniforms in one block, takes each coup's entry by
-    searchsorted on its arm's cumulative probabilities, its stake from the
-    streak walk (the award bits, by TestByteReduction), less its payout,
-    and sums them in one cumsum.
+    searchsorted on its arm's cumulative probabilities, and its stake from
+    the streak walk (the award bits, by TestByteReduction).
     """
     uniforms = np.random.Generator(np.random.PCG64(seed)).random(coups)
     positions = np.arange(coups) % spec.n
@@ -414,8 +446,39 @@ def literal_trajectory(spec, coups, seed, stride):
             thresholds = np.cumsum([prob for _, prob in arm.entries])[:-1]
             rewards = np.array([reward for reward, _ in arm.entries])[np.searchsorted(thresholds, uniforms[here], "right")]
             win[here], payouts[here] = rewards > 0, rewards
-    stakes = np.array(streak_walk(win, spec.j, 0)[0])
+    return win, payouts, np.array(streak_walk(win, spec.j, 0)[0])
+
+
+def literal_trajectory(spec, coups, seed, stride):
+    """A run's running profit at its marks: the literal walk's stakes less payouts, summed in one cumsum."""
+    _, payouts, stakes = literal_walk(spec, coups, seed)
     return np.cumsum(stakes - payouts)[stride - 1 :: stride]
+
+
+def assert_near_exact_profits(spec, coups, seed, stride, trajectory):
+    """Each mark of a two-point run within a few ulps of its terms of the exact coups - sum of u * wins - J * awards.
+
+    The counts come from the literal walk. A row is read off them with at
+    most 2 * arms + 1 roundings (a product and a sum per arm, two
+    subtractions), each within eps/2 of the sum of the terms' magnitudes,
+    so (arms + 2) ulps of that sum bound it. The check runs in Python
+    ints: values are scaled by the largest payout denominator, a power of
+    two and so a multiple of the others, and the error by 2**52 = 1/eps.
+    """
+    win, _, stakes = literal_walk(spec, coups, seed)
+    marks = np.arange(stride, coups + 1, stride)
+    labels = np.array(spec.sequence)[np.arange(coups) % spec.n]
+    payouts = [arm.u.as_integer_ratio() for arm in spec.arms.values()]
+    scale = max(denominator for _, denominator in payouts)  # powers of two: a multiple of the rest
+    counts = [np.cumsum(win & (labels == label))[marks - 1].tolist() for label in spec.arms]
+    awards = np.cumsum(stakes != 1.0)[marks - 1].tolist()
+    for row, mark in enumerate(marks.tolist()):
+        paid = [numerator * (scale // denominator) * count[row] for (numerator, denominator), count in zip(payouts, counts)]
+        exact = (mark - spec.j * awards[row]) * scale - sum(paid)
+        magnitude = (mark + spec.j * awards[row]) * scale + sum(paid)
+        numerator, denominator = float(trajectory[row]).as_integer_ratio()
+        error = abs(numerator * scale - exact * denominator) << 52
+        assert error <= (len(payouts) + 2) * magnitude * denominator, (row, mark, trajectory[row])
 
 
 def rounding_bound(spec, reference):
@@ -454,6 +517,9 @@ class TestTwoPointTrajectory:
     )
     @example(fair_chain(parse_strategy(PAPER), AB, j=3), 1600, 7, 5, None)
     @example(fair_chain(parse_strategy(PAPER), AB, j=4), 1600, 7, 5, None)
+    # A running sum of 927 literal terms strayed 3.383e-10 from this run, past
+    # a bound that counted only its 103 rows.
+    @example(ChainSpec(sequence=("A",), arms={"A": TwoPointArm(1.0, 16.829545080890096)}, j=2), 927, 9, 0, 1000)
     def test_equals_literal(self, spec, coups, stride, seed, chunk):
         # At the real CHUNK the run crosses one chunk boundary.
         chunk = chunk or simulate.CHUNK
@@ -462,11 +528,10 @@ class TestTwoPointTrajectory:
             trajectory = cumulative_trajectory(spec, coups, seed, stride)[:, 1]
         # Counts are integers, so the chunk size moves no bit.
         assert trajectory.tobytes() == cumulative_trajectory(spec, coups, seed, stride)[:, 1].tobytes()
-        expected = literal_trajectory(spec, coups, seed, stride)
         if all(arm.u.is_integer() for arm in spec.arms.values()):
-            assert trajectory.tobytes() == expected.tobytes()
+            assert trajectory.tobytes() == literal_trajectory(spec, coups, seed, stride).tobytes()
         else:
-            assert np.abs(trajectory - expected).max() <= rounding_bound(spec, expected)
+            assert_near_exact_profits(spec, coups, seed, stride, trajectory)
 
 
 class TestDegenerateArms:
@@ -724,6 +789,34 @@ def test_layout_reuses_cached_arm_data(monkeypatch):
 
     monkeypatch.setattr(simulate, "_arm_regions", rebuilt)
     assert simulate_once(spec, 50_000, 3) == expected
+
+
+def test_layout_cache_bounded_by_bytes(monkeypatch):
+    # With room for two short layouts, a third pushes out the least recently
+    # used, and a long one, larger than the whole budget, is never kept.
+    mode_e, mode_o = mills_modes()
+    ab = ChainSpec(sequence=("A", "B"), arms={"A": mode_e, "B": mode_o}, j=2)
+    ba = ChainSpec(sequence=("B", "A"), arms={"A": mode_e, "B": mode_o}, j=2)
+    swapped = ChainSpec(sequence=("A", "B"), arms={"A": mode_o, "B": mode_e}, j=2)
+    long = ChainSpec(sequence=tuple("AAB" * 2000), arms={"A": mode_e, "B": mode_o}, j=2)
+    build, built = simulate._build_layout, []
+
+    def counted(sequence, arms, row, step):
+        built.append((sequence, arms))
+        return build(sequence, arms, row, step)
+
+    def key(spec):
+        return spec.sequence, tuple((label, spec.arms[label]) for label in dict.fromkeys(spec.sequence))
+
+    monkeypatch.setattr(simulate, "_build_layout", counted)
+    monkeypatch.setattr(simulate, "_layouts", simulate.OrderedDict())
+    expected = simulate_once(ab, 1000, 1)
+    monkeypatch.setattr(simulate, "_LAYOUT_CACHE_BYTES", 2 * simulate._nbytes(*simulate._layouts.values()))
+    for spec in (ba, ab, swapped, long, long):
+        simulate_once(spec, 1000, 1)
+    assert [cached[:2] for cached in simulate._layouts] == [key(ab), key(swapped)]
+    assert simulate_once(ab, 1000, 1) == expected
+    assert built == [key(spec) for spec in (ab, ba, swapped, long, long)]
 
 
 @settings(max_examples=300, deadline=None)
