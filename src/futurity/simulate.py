@@ -46,9 +46,9 @@ Split trajectories and replicate's workers play chunks on several
 threads at once. After the draw, a chunk's pass is a few dozen numpy
 calls that release the GIL, each only 5-20 us on a 2**17-coup chunk,
 and calls that short barely overlap across threads. So the pass makes
-few, large calls: one popcount call, coup offsets in int32 in the award
-pass (half the bytes of int64), and the award scan written to a buffer
-of its own, since numpy holds the GIL through a scan written in place.
+few, large calls: one popcount call, and the award scan written to a
+buffer of its own, since numpy holds the GIL through a scan written in
+place.
 
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
@@ -81,7 +81,6 @@ import contextlib
 import functools
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -207,7 +206,7 @@ def _scratch_array(size: int, dtype, name: str) -> np.ndarray:
     named buffers instead of allocating per run.
     """
     buffer = getattr(_scratch, name, None)
-    if buffer is None or buffer.size < size or buffer.dtype != dtype:
+    if buffer is None or buffer.size < size:
         buffer = np.zeros(size, dtype)
         setattr(_scratch, name, buffer)
     return buffer[:size]
@@ -268,41 +267,9 @@ class _Layout:
     won: np.ndarray
 
 
-# Bytes of layout arrays _layout keeps. One 10**6-position Mills layout
-# (MAX_PATTERN_LENGTH) holds 47.3 MiB, so its replications still share one.
-_LAYOUT_CACHE_BYTES = 64 << 20
-_layouts: OrderedDict[tuple, _Layout] = OrderedDict()
-_layouts_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=8)
 def _layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Layout:
-    """The _Layout of a pattern; `arms` holds (label, arm) for each label in the sequence. Read-only.
-
-    Layouts are cached, least recently used out first, while their arrays
-    total at most _LAYOUT_CACHE_BYTES; one larger than that is not kept.
-    """
-    key = (sequence, arms, row, step)
-    with _layouts_lock:
-        if key in _layouts:
-            _layouts.move_to_end(key)
-            return _layouts[key]
-    layout = _build_layout(sequence, arms, row, step)
-    if _nbytes(layout) <= _LAYOUT_CACHE_BYTES:
-        with _layouts_lock:
-            _layouts[key] = layout
-            total = sum(_nbytes(kept) for kept in _layouts.values())
-            # The new layout is the most recent, and it fits alone.
-            while total > _LAYOUT_CACHE_BYTES:
-                total -= _nbytes(_layouts.popitem(last=False)[1])
-    return layout
-
-
-def _nbytes(layout: _Layout) -> int:
-    return sum(array.nbytes for array in vars(layout).values() if isinstance(array, np.ndarray))
-
-
-def _build_layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Layout:
-    """The _Layout of a pattern, built afresh (see _layout)."""
+    """The _Layout of a pattern; `arms` holds (label, arm) for each label in the sequence. Read-only."""
     codes = {label: code for code, (label, _) in enumerate(arms)}
     owner = np.array([codes[label] for label in sequence])
     tables = [_arm_regions(arm) for _, arm in arms]
@@ -354,11 +321,7 @@ def _build_layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -
 
 
 # Highest win bit of each byte of a packed win mask; far below any coup index when none.
-_HIGH_WIN = np.array([byte.bit_length() - 1 if byte else -(1 << 31) for byte in range(256)], np.int32)
-# From this J on, the carried run's residue -1 - losses % J can meet int32's
-# "no win" entries, so the award pass scans in int64.
-_WIDE_J = 1 << 30
-_HIGH_WIN_WIDE = np.where(_HIGH_WIN < 0, np.int64(-(1 << 62)), _HIGH_WIN)
+_HIGH_WIN = np.array([byte.bit_length() - 1 if byte else -(1 << 62) for byte in range(256)])
 
 
 @functools.lru_cache(maxsize=16)
@@ -389,7 +352,7 @@ def _byte_starts(size: int) -> np.ndarray:
     """0, 8, 16, ...: the first coup of each of `size` bytes, this thread's copy."""
     starts = getattr(_scratch, "byte_starts", None)
     if starts is None or starts.size < size:
-        starts = np.arange(0, 8 * size, 8, dtype=np.int32)
+        starts = np.arange(0, 8 * size, 8)
         _scratch.byte_starts = starts
     return starts[:size]
 
@@ -401,24 +364,21 @@ def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> in
     bytes; bits from k on move only the returned run. The chunk continues a loss run of
     `losses` coups, whose last win is the virtual coup -1 - losses. A
     running maximum over each byte's highest win gives the last win
-    before every byte, and so its phase. A phase depends on that win only
-    mod j, so the scan starts from -1 - losses % j, which keeps coup
-    offsets in int32 for any J below _WIDE_J. Award bits from k on are
+    before every byte, and so its phase. Award bits from k on are
     cleared. Nothing is counted twice across chunks: the carried run's
     earlier awards are in earlier chunks, and the phase places its next
     one.
     """
     size = win.size
-    index, high_win = (np.int32, _HIGH_WIN) if j < _WIDE_J else (np.int64, _HIGH_WIN_WIDE)
     starts = _byte_starts(size)
-    last = _scratch_array(size + 1, index, "last_win")
-    last[0] = -1 - losses % j
-    np.take(high_win, win, out=last[1:], mode="clip")
+    last = _scratch_array(size + 1, np.intp, "last_win")
+    last[0] = -1 - losses
+    np.take(_HIGH_WIN, win, out=last[1:], mode="clip")
     np.add(last[1:], starts, out=last[1:])
     # Into its own buffer: numpy holds the GIL through a scan written in place.
-    scan = _scratch_array(size + 1, index, "scan")
+    scan = _scratch_array(size + 1, np.intp, "scan")
     np.maximum.accumulate(last, out=scan)
-    keys = _scratch_array(size, index, "keys")
+    keys = _scratch_array(size, np.intp, "keys")
     if 8 % j == 0:
         # Every byte starts at a multiple of 8, so last - start = last mod j.
         np.bitwise_and(scan[:-1], j - 1, out=keys)
@@ -434,9 +394,7 @@ def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> in
     np.take(_award_tables(j), keys, out=out, mode="clip")
     if k & 7:
         out[-1] &= (1 << (k & 7)) - 1
-    # A scan still at its seed saw no win: the whole carried run stays open.
-    last_win = int(scan[-1])
-    return k - 1 - last_win if last_win >= 0 else k + losses
+    return k - 1 - int(scan[-1])
 
 
 @dataclass

@@ -374,19 +374,6 @@ class TestByteReduction:
         assert np.diff(tallies[:, 1], prepend=0).tolist() == [stake != 1.0 for stake in whole_stakes]
         assert simulate._tally(iter(chunks)).tolist() == [[losses + size, whole_awards]]
 
-    @pytest.mark.parametrize("j", [(1 << 30) - 1, 1 << 30, 1 << 33])
-    def test_long_carried_run(self, j):
-        # A carried run too long for int32 places awards by its residue mod
-        # J and comes back whole when no win ends it; from _WIDE_J on, the
-        # pass scans in int64.
-        for win in (np.zeros(100, bool), np.arange(100) == 60):
-            for losses in (3 * j - 5, 2**40 + 7):
-                stakes, _, run = streak_walk(win, j, losses)
-                (_, words), open_run = award_chunk(win, j, losses)
-                assert open_run == run
-                award_bits = np.unpackbits(words.view(np.uint8), bitorder="little")[: win.size]
-                assert award_bits.tolist() == [stake != 1.0 for stake in stakes]
-
     def test_tables(self):
         for j in (2, 8, 9, 20):
             table = simulate._award_tables(j)
@@ -419,7 +406,8 @@ class TestByteReduction:
             for block in blocks:
                 counts = popcount(block.copy(), np.empty(block.shape, dtype))
                 assert counts.ravel().tolist() == [bin(int(word)).count("1") for word in block.ravel()]
-            with mock.patch.multiple(simulate, _popcount=popcount, _COUNTS=dtype):
+            # Fresh scratch buffers: the "counts" buffer takes the path's dtype.
+            with mock.patch.multiple(simulate, _popcount=popcount, _COUNTS=dtype, _scratch=threading.local()):
                 tallies.append([simulate._tally(iter(chunks), stride).tolist() for stride in (None, 1, 7, 64, 517)])
         by_coup = [[coup + 1, *counts] for coup, counts in enumerate(np.cumsum(bits, axis=1).T.tolist())]
         assert tallies[0][1] == by_coup + tallies[0][0]
@@ -789,34 +777,6 @@ def test_layout_reuses_cached_arm_data(monkeypatch):
 
     monkeypatch.setattr(simulate, "_arm_regions", rebuilt)
     assert simulate_once(spec, 50_000, 3) == expected
-
-
-def test_layout_cache_bounded_by_bytes(monkeypatch):
-    # With room for two short layouts, a third pushes out the least recently
-    # used, and a long one, larger than the whole budget, is never kept.
-    mode_e, mode_o = mills_modes()
-    ab = ChainSpec(sequence=("A", "B"), arms={"A": mode_e, "B": mode_o}, j=2)
-    ba = ChainSpec(sequence=("B", "A"), arms={"A": mode_e, "B": mode_o}, j=2)
-    swapped = ChainSpec(sequence=("A", "B"), arms={"A": mode_o, "B": mode_e}, j=2)
-    long = ChainSpec(sequence=tuple("AAB" * 2000), arms={"A": mode_e, "B": mode_o}, j=2)
-    build, built = simulate._build_layout, []
-
-    def counted(sequence, arms, row, step):
-        built.append((sequence, arms))
-        return build(sequence, arms, row, step)
-
-    def key(spec):
-        return spec.sequence, tuple((label, spec.arms[label]) for label in dict.fromkeys(spec.sequence))
-
-    monkeypatch.setattr(simulate, "_build_layout", counted)
-    monkeypatch.setattr(simulate, "_layouts", simulate.OrderedDict())
-    expected = simulate_once(ab, 1000, 1)
-    monkeypatch.setattr(simulate, "_LAYOUT_CACHE_BYTES", 2 * simulate._nbytes(*simulate._layouts.values()))
-    for spec in (ba, ab, swapped, long, long):
-        simulate_once(spec, 1000, 1)
-    assert [cached[:2] for cached in simulate._layouts] == [key(ab), key(swapped)]
-    assert simulate_once(ab, 1000, 1) == expected
-    assert built == [key(spec) for spec in (ab, ba, swapped, long, long)]
 
 
 @settings(max_examples=300, deadline=None)
