@@ -39,11 +39,15 @@ MAX_CHAIN_STATES = 2 * MAX_PATTERN_LENGTH
 
 STATIONARY_RESIDUAL_TOL = 1e-12
 
+# Largest futurity threshold: the simulator's award pass and segment merge
+# hold J, and sums of J with coup counts, in int64.
+_MAX_THRESHOLD = 2**62
+
 
 def _check_threshold(j) -> int:
-    """The futurity threshold J as an int; it must be an integer >= 2."""
-    if not (isinstance(j, numbers.Real) and math.isfinite(j) and int(j) == j >= 2):
-        raise DomainError(f"futurity threshold must be an integer >= 2, got {j!r}")
+    """The futurity threshold J as an int; it must be an integer in [2, 2**62]."""
+    if not (isinstance(j, numbers.Real) and math.isfinite(j) and int(j) == j and 2 <= j <= _MAX_THRESHOLD):
+        raise DomainError(f"futurity threshold must be an integer in [2, 2**62], got {j!r}")
     return int(j)
 
 

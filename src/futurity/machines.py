@@ -18,6 +18,10 @@ from .formulas import fair_payout
 
 PROBABILITY_SUM_TOL = 1e-12
 
+# Largest reward a coup pays. Simulated totals are exact only below 2**53,
+# and rewards near float64's limit overflow them to -inf.
+_MAX_REWARD = 2**53
+
 
 @dataclass(frozen=True)
 class TwoPointArm:
@@ -29,16 +33,16 @@ class TwoPointArm:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"win probability must lie in [0, 1], got {self.p!r}")
-        if not 0.0 <= self.u < math.inf:
-            raise DomainError(f"payout must be finite and nonnegative, got {self.u!r}")
+        if not 0.0 <= self.u <= _MAX_REWARD:
+            raise DomainError(f"payout must lie in [0, 2**53], got {self.u!r}")
 
 
 @dataclass(frozen=True)
 class MultipointDistribution:
     """Reward distribution as (reward, probability) entries.
 
-    Probabilities must sum to 1 within 1e-12; rewards must be distinct,
-    finite and nonnegative with at most one zero-reward entry. Zero-probability entries
+    Probabilities must sum to 1 within 1e-12; rewards must be distinct and
+    in [0, 2**53] with at most one zero-reward entry. Zero-probability entries
     are legal and preserved, so source tables round-trip unchanged.
     """
 
@@ -55,6 +59,8 @@ class MultipointDistribution:
                 raise InvalidDistribution(f"non-finite reward {reward!r}")
             if reward < 0.0:
                 raise InvalidDistribution(f"negative reward {reward!r}")
+            if reward > _MAX_REWARD:
+                raise InvalidDistribution(f"reward {reward!r} above the cap of 2**53")
             if not 0.0 <= prob <= 1.0:
                 raise InvalidDistribution(f"probability {prob!r} outside [0, 1]")
             if reward in rewards:

@@ -33,22 +33,20 @@ integer rewards are exact while their totals stay below 2**53.
 
 A coup's win bit is the XOR of its planes, each masked to the positions
 whose win flag flips at that threshold, with the flag of its arm's last
-region. Awards are counted 8
-coups at a time, never per win: a running maximum over each byte's highest
-win gives the last win before every byte, and that win's offset from the
-byte's first coup, mod J and capped at 8, is the byte's phase. A table per
-J, keyed by phase and byte, gives the byte's award coups as bits. The loss
-run still open at a chunk's end carries into the next one. This is a
-streak walk, bit for bit. Bit counts take one np.bitwise_count call per
-chunk, or on numpy 1.x, which lacks it, a SWAR popcount on 64-bit words.
+region. Awards are counted 8 coups at a time, never per win: a running
+maximum over each byte's highest win gives the last win before every
+byte, and that win's offset from the byte's first coup, mod J and capped
+at 8, is the byte's phase. A table per J, keyed by phase and byte, gives
+the byte's award coups as bits. The loss run still open at a chunk's end
+carries into the next one. This is a streak walk, bit for bit.
 
 Split trajectories and replicate's workers play chunks on several
 threads at once. After the draw, a chunk's pass is a few dozen numpy
 calls that release the GIL, each only 5-20 us on a 2**17-coup chunk,
 and calls that short barely overlap across threads. So the pass makes
-few, large calls: one popcount call, and the award scan written to a
-buffer of its own, since numpy holds the GIL through a scan written in
-place.
+few, large calls: one np.bitwise_count call counts the bits, and the
+award scan writes to a buffer of its own, since numpy holds the GIL
+through a scan written in place.
 
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
@@ -94,7 +92,7 @@ from .machines import TwoPointArm
 
 #: Coups drawn and reduced per kernel step.
 CHUNK = 1 << 17
-#: Largest replication count; the per-replication means take 16 bytes each.
+#: Largest replication count; the per-replication means take 8 bytes each.
 MAX_REPLICATIONS = 10**7
 #: Most worker threads; each keeps its own scratch buffers.
 MAX_WORKERS = 64
@@ -460,49 +458,8 @@ def _pattern_chunks(layout: _Layout, segment: _Segment, seed: int, j: int) -> It
         yield k, words[:, :chunk_words]
 
 
-_M1, _M2, _M4 = np.uint64(0x5555555555555555), np.uint64(0x3333333333333333), np.uint64(0x0F0F0F0F0F0F0F0F)
-_BYTE_SUM = np.uint64(0x0101010101010101)
-_ONE, _TWO, _FOUR, _TOP = (np.uint64(shift) for shift in (1, 2, 4, 56))
 # Mask of bits 0..i of a word, for i = 0..63.
 _LOW_BITS = np.array([(2 << i) - 1 for i in range(64)], np.uint64)
-
-
-def _swar_popcount(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Bit count of each 64-bit word into `counts`, uint64 of the same shape; returns them as int64.
-
-    SWAR: counts of bit pairs, then nibbles, then bytes, summed into the
-    top byte by one multiply, in 13 calls. numpy 1.x, which has no
-    bitwise_count, counts this way.
-    """
-    temp = _scratch_array(words.size, np.uint64, "popcount").reshape(words.shape)
-    np.copyto(counts, words)
-    np.right_shift(counts, _ONE, out=temp)
-    np.bitwise_and(temp, _M1, out=temp)
-    np.subtract(counts, temp, out=counts)
-    np.right_shift(counts, _TWO, out=temp)
-    np.bitwise_and(temp, _M2, out=temp)
-    np.bitwise_and(counts, _M2, out=counts)
-    np.add(counts, temp, out=counts)
-    np.right_shift(counts, _FOUR, out=temp)
-    np.add(counts, temp, out=counts)
-    np.bitwise_and(counts, _M4, out=counts)
-    np.multiply(counts, _BYTE_SUM, out=counts)
-    np.right_shift(counts, _TOP, out=counts)
-    return counts.view(np.int64)
-
-
-def _bitwise_popcount(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Bit count of each 64-bit word into `counts`, uint8 of the same shape, in one numpy 2 call.
-
-    Counting and summing a Mills chunk's 9 x 2048 words this way took 20
-    us against the SWAR's 77 (2 vCPUs, numpy 2.4.6), in one call that
-    releases the GIL instead of 13 short ones.
-    """
-    return np.bitwise_count(words, out=counts)
-
-
-# The popcount and the dtype of the counts it writes, fixed by the numpy installed.
-_popcount, _COUNTS = (_bitwise_popcount, np.uint8) if hasattr(np, "bitwise_count") else (_swar_popcount, np.uint64)
 
 
 def _sums_before(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -534,7 +491,7 @@ def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, 
     totals = None
     values = []
     for k, words in chunks:
-        counts = _popcount(words, _scratch_array(words.size, _COUNTS, "counts").reshape(words.shape))
+        counts = np.bitwise_count(words, out=_scratch_array(words.size, np.uint8, "counts").reshape(words.shape))
         if totals is None:
             totals = np.zeros(words.shape[0], np.int64)
         if stride is not None:
@@ -542,7 +499,7 @@ def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, 
             if marks.size:
                 at = marks >> 6
                 partial = words[:, at] & _LOW_BITS[marks & 63]
-                counted = _popcount(partial, np.empty(partial.shape, _COUNTS)).astype(np.int64)
+                counted = np.bitwise_count(partial).astype(np.int64)
                 counted += _sums_before(counts, at + 1) - counts[:, at] + totals[:, None]
                 values.append(np.vstack([start + 1 + marks, counted]).T)
         totals += counts.sum(axis=1, dtype=np.int64)

@@ -15,6 +15,7 @@ from futurity import (
     TwoPointArm,
     build_chain,
     chain,
+    cumulative_trajectory,
     empirical_two_point,
     exact_profit,
     fair_chain,
@@ -26,6 +27,7 @@ from futurity import (
     parse_strategy,
     random_mix_profit,
     rate_profit,
+    simulate_once,
     single_arm_chain,
     stationary,
 )
@@ -98,10 +100,17 @@ class TestChainSpec:
             ChainSpec(sequence=("A",), arms={}, j=2)
         with pytest.raises(DomainError):
             ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=1)
-        for j in (2.5, float("nan"), float("inf"), "3"):
+        for j in (2.5, float("nan"), float("inf"), "3", 2**62 + 1, 2**63, 1e300):
             with pytest.raises(DomainError):
                 ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=j)
         assert ChainSpec(sequence=("A",), arms={"A": TwoPointArm(0.5, 1.0)}, j=3.0).j == 3
+
+    def test_simulates_at_threshold_cap(self):
+        # The simulator holds J in int64; at the 2**62 cap it plays as usual.
+        spec = ChainSpec(sequence=("A", "B"), arms={"A": TwoPointArm(0.3, 2.0), "B": TwoPointArm(0.7, 1.0)}, j=2**62)
+        ledger = simulate_once(spec, 1000, 5)
+        assert ledger.j == 2**62 and ledger.futurity_events == 0
+        assert cumulative_trajectory(spec, 1000, 5, 10)[-1, 1] == ledger.casino_profit_total
 
     @pytest.mark.parametrize("arm", [0.5, "A", None])
     def test_non_arm_model_refused(self, arm):

@@ -551,6 +551,8 @@ class TestBadSeeds:
 
 
 class TestNonFiniteRewards:
+    """Rewards that are not finite or lie above the 2**53 cap exit 2 before any output."""
+
     RUN_FLAGS = {
         "simulate": ["--strategy", "AB", "--reduction", "multipoint", "--coups", "100",
                      "--reps", "4", "--seed", "1"],
@@ -559,7 +561,7 @@ class TestNonFiniteRewards:
         "machine-info": ["--format", "json"],
     }
 
-    @pytest.mark.parametrize("reward", ["nan", "inf"])
+    @pytest.mark.parametrize("reward", ["nan", "inf", "1e308"])
     @pytest.mark.parametrize("command", ["simulate", "trajectory", "machine-info"])
     def test_exits_2(self, capsys, tmp_path, command, reward):
         machine_path = tmp_path / "bad.machine"
@@ -570,9 +572,55 @@ class TestNonFiniteRewards:
             capsys, command, "--machine", str(machine_path), *self.RUN_FLAGS[command], *out_flags
         )
         assert code == 2
-        assert "non-finite reward" in err
+        assert_one_line(err, "error: reward 1e+308 above the cap of 2**53" if reward == "1e308" else "error: non-finite reward")
         assert out == ""
         assert not out_path.exists()
+
+
+class TestCaps:
+    """J and rewards at their caps play to finite output; J past its cap exits 2 before any coup."""
+
+    @pytest.mark.parametrize("command", ["simulate", "trajectory"])
+    def test_threshold_above_cap_exits_2(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(simulate, "_pattern_chunks", unreachable)
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, command, "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            *TestBadSeeds.RUN_FLAGS[command], "--seed", "1", "--j", str(2**62 + 1), "--out", str(out_path),
+        )
+        assert code == 2
+        assert_one_line(err, "error: futurity threshold must be an integer in [2, 2**62]")
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_threshold_at_cap_runs(self, capsys, tmp_path):
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(
+            capsys, "trajectory", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7",
+            *TestBadSeeds.RUN_FLAGS["trajectory"], "--seed", "1", "--j", str(2**62), "--out", str(out_path),
+        )
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out_path.read_text(encoding="utf-8"))
+        assert [row[0] for row in rows] == [str(coup) for coup in range(10, 101, 10)]
+
+    def test_rewards_at_cap_stay_finite(self, capsys, tmp_path):
+        machine_path = tmp_path / "cap.machine"
+        machine_path.write_text(f"0 0.5\n{2**53} 0.5\n\n0 0.5\n{2**53} 0.5\n", encoding="utf-8")
+        out_path = tmp_path / "out.csv"
+        code, out, _ = run_cli(
+            capsys, "simulate", "--machine", str(machine_path), *TestNonFiniteRewards.RUN_FLAGS["simulate"],
+            "--out", str(out_path),
+        )
+        assert code == 0
+        summary = strict_json(out)
+        assert summary["grand_mean"] < -1e15 and summary["sample_sd"] > 0.0
+        code, _, _ = run_cli(
+            capsys, "trajectory", "--machine", str(machine_path), *TestNonFiniteRewards.RUN_FLAGS["trajectory"],
+            "--out", str(out_path),
+        )
+        assert code == 0
+        _, rows = csv_rows(out_path.read_text(encoding="utf-8"))
+        assert len(rows) == 10 and all(-1e18 < float(profit) < 0.0 for _, profit in rows)
 
 
 class TestMachineInfo:

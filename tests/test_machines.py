@@ -105,6 +105,12 @@ class TestDistributionValidation:
             with pytest.raises(InvalidDistribution, match="non-finite reward"):
                 MultipointDistribution(((0.0, 0.5), (reward, 0.5)))
 
+    def test_reward_cap(self):
+        assert MultipointDistribution(((0.0, 0.5), (2.0**53, 0.5))).entries[1][0] == 2**53
+        for reward in (2.0**53 + 2, 1e308):
+            with pytest.raises(InvalidDistribution, match=r"above the cap of 2\*\*53"):
+                MultipointDistribution(((0.0, 0.5), (reward, 0.5)))
+
     def test_two_zero_entries_forbidden_by_distinctness(self):
         with pytest.raises(InvalidDistribution):
             MultipointDistribution(((0.0, 0.5), (0.0, 0.5)))
@@ -122,9 +128,10 @@ class TestDistributionValidation:
             TwoPointArm(1.5, 1.0)
         with pytest.raises(DomainError):
             TwoPointArm(0.5, -1.0)
-        for payout in (float("inf"), float("nan")):
+        for payout in (float("inf"), float("nan"), 2.0**53 + 2, 1e308):
             with pytest.raises(DomainError):
                 TwoPointArm(0.5, payout)
+        assert TwoPointArm(0.5, 2.0**53).u == 2**53
 
 
 class TestMachineFiles:

@@ -276,9 +276,9 @@ class TestChunkBoundaries:
 
     def test_short_row_after_huge_payouts(self, monkeypatch):
         # The last chunk is shorter than the others; the previous chunk's
-        # 1e17 payouts must not leak into it.
+        # payouts, at the 2**53 reward cap, must not leak into it.
         monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
-        arm = MultipointDistribution(((0.0, 0.5), (1e17, 0.5)))
+        arm = MultipointDistribution(((0.0, 0.5), (2.0**53, 0.5)))
         spec = ChainSpec(sequence=("A",), arms={"A": arm}, j=2)
         ledger = simulate_once(spec, 1500, 8)
         wins, payouts, awards, _ = scalar_reference(spec, 1500, 8)
@@ -385,34 +385,18 @@ class TestByteReduction:
         assert simulate._award_tables(3)[0] == 0b01001001
 
     def test_popcount(self):
-        # Every popcount the installed numpy offers: the SWAR always, and
-        # bitwise_count, which the import picks wherever numpy has it.
-        paths = [(simulate._swar_popcount, np.uint64)]
-        if hasattr(np, "bitwise_count"):
-            paths.append((simulate._bitwise_popcount, np.uint8))
-        assert (simulate._popcount, simulate._COUNTS) == paths[-1]
-        # Every byte value at every byte of a word, and random words.
-        words = np.arange(256, dtype=np.uint64) << (8 * np.arange(8, dtype=np.uint64))[:, None]
-        random_words = np.random.default_rng(5).integers(0, 2**63, 999, dtype=np.uint64) * np.uint64(3)
-        blocks = (words, random_words, np.array([0, 2**64 - 1], np.uint64))
         # Bit rows of three chunks, zero from each chunk's k on; strides put
-        # marks inside words and on chunk ends.
+        # marks inside words, on word and chunk ends, at the run's end and
+        # past it.
         chunks = [(k, np.random.default_rng(k).integers(0, 2**64, (3, -(-k // 64)), dtype=np.uint64)) for k in (640, 517, 64)]
         for k, rows in chunks:
             rows[:, -1] &= simulate._LOW_BITS[(k - 1) & 63]
         bits = np.concatenate([np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :k] for k, rows in chunks], axis=1)
-        tallies = []
-        for popcount, dtype in paths:
-            for block in blocks:
-                counts = popcount(block.copy(), np.empty(block.shape, dtype))
-                assert counts.ravel().tolist() == [bin(int(word)).count("1") for word in block.ravel()]
-            # Fresh scratch buffers: the "counts" buffer takes the path's dtype.
-            with mock.patch.multiple(simulate, _popcount=popcount, _COUNTS=dtype, _scratch=threading.local()):
-                tallies.append([simulate._tally(iter(chunks), stride).tolist() for stride in (None, 1, 7, 64, 517)])
+        # Coups played and each row's set bits up to every coup, counted one by one.
         by_coup = [[coup + 1, *counts] for coup, counts in enumerate(np.cumsum(bits, axis=1).T.tolist())]
-        assert tallies[0][1] == by_coup + tallies[0][0]
-        # _tally's rows are the same on either path.
-        assert all(rows == tallies[0] for rows in tallies)
+        for stride in (1, 7, 64, 517, 640, len(by_coup), 2000):
+            assert simulate._tally(iter(chunks), stride).tolist() == by_coup[stride - 1 :: stride] + by_coup[-1:]
+        assert simulate._tally(iter(chunks)).tolist() == by_coup[-1:]
 
 
 def literal_walk(spec, coups, seed):
