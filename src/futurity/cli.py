@@ -14,6 +14,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -366,7 +367,9 @@ def _add_machine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="futurity",
         description="Two-armed Futurity machine analysis: closed forms, exact chain oracle, Monte Carlo.",

@@ -109,12 +109,14 @@ def empirical_two_point(dist: MultipointDistribution) -> TwoPointArm:
 
     Keeps the source table's expected payout instead of forcing fairness;
     useful for comparing a machine's real economics against the calibrated
-    model. No fairness property is implied.
+    model. No fairness property is implied. The mean is capped at the
+    largest reward the table pays, which rounding can push it above.
     """
     p = win_probability(dist)
     if p <= 0.0:
         raise DegenerateMode("distribution never wins; no conditional payout exists")
-    return TwoPointArm(p, expected_payout(dist) / p)
+    largest = max((reward for reward, prob in dist.entries if reward > 0.0 and prob > 0.0), default=0.0)
+    return TwoPointArm(p, min(expected_payout(dist) / p, largest))
 
 
 # Reward table of the antique Mills Futurity machine: the two mode cams E and

@@ -14,7 +14,7 @@ with every position's distinct inverse-CDF thresholds in (0, 1)
 (_arm_regions): plane t holds u < c_t.
 A coup's entry is searchsorted(thresholds, u, "right") clipped to K - 1,
 and it changes only at those thresholds, so the planes fix it. One
-np.packbits call packs the planes 8 coups to a byte. A two-point arm has
+np.packbits call packs the planes into 64-coup words. A two-point arm has
 the one threshold p; a Mills mode has 4, once tied thresholds
 (zero-probability entries) and those at 0 or reaching 1 are dropped. A
 plane costs about 0.5 ns per coup: against a 2**12-bin guide-table
@@ -22,10 +22,11 @@ sampler, 10**6-coup runs were 1.13x faster with 4 planes, 1.11x slower
 with 7 and 1.69x slower with 15 (2 vCPUs, numpy 2.4.6); no shipped
 machine has more than 4.
 
-Everything a run reports is read from integer counts: coups, awards, and
-for each pair of arm and threshold the coups of that arm below it, the
-popcount of the plane masked by the arm's positions. The region counts
-between thresholds follow, and a ledger or trajectory mark is coups -
+Everything a run reports is read from integer counts: coups, awards,
+each arm's coups, the popcount of its positions, and for each pair of
+arm and threshold the coups of that arm below it, the popcount of the
+plane masked by the arm's positions. The region counts between
+thresholds follow, and a ledger or trajectory mark is coups -
 J * awards - the sum of reward * count over the regions, taken in one fixed
 order. Counts are integers, so every output is independent of CHUNK, a
 trajectory's last row equals the ledger bit for bit, and outputs with
@@ -33,20 +34,34 @@ integer rewards are exact while their totals stay below 2**53.
 
 A coup's win bit is the XOR of its planes, each masked to the positions
 whose win flag flips at that threshold, with the flag of its arm's last
-region. Awards are counted 8 coups at a time, never per win: a running
+region. Awards are marked many coups at a time, never per win: a loss
+run pays at every J-th coup after its last win, the coups of that win's
+residue mod J. Up to J = _RESIDUE_J the residue pass works on 64-coup
+words: for each residue r < J - 1 it marks the coup after every
+residue-r win, and adding the marks to the loss bits carries through
+exactly the runs they start; the runs of residue J - 1 are the losses no
+row took. A word's lead run, its losses before its first win, starts in
+the row of the last win before the word, which one running maximum over
+the words' highest wins finds. Larger J takes the byte pass: a running
 maximum over each byte's highest win gives the last win before every
-byte, and that win's offset from the byte's first coup, mod J and capped
-at 8, is the byte's phase. A table per J, keyed by phase and byte, gives
-the byte's award coups as bits. The loss run still open at a chunk's end
-carries into the next one. This is a streak walk, bit for bit.
+byte, and so the byte's phase, and a table per J keyed by phase and byte
+gives the byte's award coups. The residue pass does J - 1 rows of word
+work where the byte pass does one table lookup per byte, so it is the
+faster only for small J (2**17-coup chunk, 2 vCPUs, numpy 2.4.6: 34-36
+us at J = 2 and 109-119 us at J = 16 against 143-148 us for the byte
+pass; about even at J = 20, slower from 22). The loss run still open at
+a chunk's end carries into the next one. Both passes are a streak walk,
+bit for bit.
 
 Split trajectories and replicate's workers play chunks on several
 threads at once. After the draw, a chunk's pass is a few dozen numpy
-calls that release the GIL, each only 5-20 us on a 2**17-coup chunk,
+calls that release the GIL, each only 1-20 us on a 2**17-coup chunk,
 and calls that short barely overlap across threads. So the pass makes
-few, large calls: one np.bitwise_count call counts the bits, and the
-award scan writes to a buffer of its own, since numpy holds the GIL
-through a scan written in place.
+few, large calls: one np.bitwise_count call counts the bits, and each
+award pass writes its scan to a buffer of its own, since numpy holds
+the GIL through a scan written in place. The residue pass makes more
+calls than the byte pass, but on a chunk's 2**11 words instead of its
+2**14 bytes.
 
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
@@ -81,7 +96,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -98,7 +113,9 @@ MAX_REPLICATIONS = 10**7
 MAX_WORKERS = 64
 #: Most rows a trajectory returns; each takes 16 bytes, and its CSV line more.
 MAX_TRAJECTORY_POINTS = 10**7
-# Coups per row of a chunk, before rounding up to whole pattern periods.
+# A chunk's rows are the first whole number of pattern periods past _ROW
+# coups (or the whole run, if shorter): numpy compares rows of exactly
+# 2**12 float64 uniforms at half the speed of rows just past it.
 _ROW = 1 << 12
 # Fewest chunks per segment of a split trajectory. Each extra segment's
 # thread allocates its own scratch for the call (2.4 MB for a Mills
@@ -210,6 +227,19 @@ def _scratch_array(size: int, dtype, name: str) -> np.ndarray:
     return buffer[:size]
 
 
+def _scratch_views(name: str, key: tuple, build: Callable[[], tuple]) -> tuple:
+    """This thread's views `name` of its scratch buffers, made by build() and remade only when `key` changes.
+
+    A run of replications of one shape takes its buffers and reshapes
+    them once, not once per run.
+    """
+    views = _scratch.__dict__.setdefault("views", {})
+    held = views.get(name)
+    if held is None or held[0] != key:
+        held = views[name] = (key, build())
+    return held[1]
+
+
 @functools.lru_cache(maxsize=64)
 def _arm_regions(arm) -> tuple[tuple[float, ...], tuple[float, ...], tuple[bool, ...]]:
     """An arm's distinct thresholds in (0, 1), and the reward and win flag of each region between them.
@@ -242,16 +272,15 @@ class _Layout:
 
     `thresholds` (planes x row) holds each position's distinct thresholds,
     padded with 1.0, which every uniform is below. The bit masks cover the
-    step, 8 coups to a byte: `flips` marks, per plane, the positions whose
+    step in 64-coup words: `flips` marks, per plane, the positions whose
     win flag changes across its threshold, `always` those whose last region
-    wins, and `pair_masks` the positions of each pair's arm; `pair_planes`
-    names each pair's plane. `before[r]` counts each arm's positions
-    below r in the period. `regions` turns [pair counts, arm coups] into
-    the count of each region of each arm, in pair order, and `rewards` and
-    `won` hold the region's reward and win flag.
+    wins, `pair_masks` the positions of each pair's arm, and `arm_masks`
+    each arm's positions; `pair_planes` names each pair's plane.
+    `regions` turns [pair counts, arm coups] into the win count, then the
+    count of each region of each arm, in pair order, and `rewards` holds
+    each region's reward.
     """
 
-    n: int
     row: int
     step: int
     thresholds: np.ndarray
@@ -259,10 +288,9 @@ class _Layout:
     always: np.ndarray
     pair_planes: np.ndarray
     pair_masks: np.ndarray
-    before: np.ndarray
+    arm_masks: np.ndarray
     regions: np.ndarray
     rewards: np.ndarray
-    won: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -283,23 +311,25 @@ def _layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Lay
     # Region r of an arm holds its coups below cut r + 1 less those below cut r;
     # the last region's upper count is all the arm's coups.
     rewards = [reward for _, arm_rewards, _ in tables for reward in arm_rewards]
-    regions = np.zeros((len(pair_arms) + len(arms), len(rewards)), np.int64)
-    first = 0
+    regions = np.zeros((len(pair_arms) + len(arms), 1 + len(rewards)), np.int64)
+    first = 1
     for arm in range(len(arms)):
         columns = [*np.flatnonzero(np.equal(pair_arms, arm)), len(pair_arms) + arm]
         span = np.arange(first, first + len(columns))
         regions[columns, span] = 1
         regions[columns[:-1], span[1:]] = -1
         first += len(columns)
+    # Column 0 sums the regions that win.
+    regions[:, 0] = regions[:, 1:] @ np.array([win for _, _, wins in tables for win in wins], np.int64)
     n = len(sequence)
-    before = np.zeros((n + 1, len(arms)), np.int64)
-    np.cumsum(np.eye(len(arms), dtype=np.int64)[owner], axis=0, out=before[1:])
 
     def bits(per_arm: np.ndarray) -> np.ndarray:
-        return np.packbits(np.tile(per_arm[..., owner], step // n), axis=-1, bitorder="little")
+        # Padded with zeros to whole 64-bit words.
+        tiled = np.zeros((*per_arm.shape[:-1], -(-step // 64) * 64), bool)
+        tiled[..., :step] = np.tile(per_arm[..., owner], step // n)
+        return np.packbits(tiled, axis=-1, bitorder="little").view(np.uint64)
 
     layout = _Layout(
-        n=n,
         row=row,
         step=step,
         thresholds=np.tile(cuts[:, owner], row // n),
@@ -307,10 +337,9 @@ def _layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Lay
         always=bits(np.array([wins[-1] for _, _, wins in tables])),
         pair_planes=np.array(pair_planes, np.intp),
         pair_masks=bits(np.eye(len(arms), dtype=bool)[np.array(pair_arms, np.intp)]),
-        before=before,
+        arm_masks=bits(np.eye(len(arms), dtype=bool)),
         regions=regions,
         rewards=np.array(rewards),
-        won=np.array([win for _, _, wins in tables for win in wins], np.int64),
     )
     for array in vars(layout).values():
         if isinstance(array, np.ndarray):
@@ -320,6 +349,10 @@ def _layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Lay
 
 # Highest win bit of each byte of a packed win mask; far below any coup index when none.
 _HIGH_WIN = np.array([byte.bit_length() - 1 if byte else -(1 << 62) for byte in range(256)])
+# Mask of bits 0..i of a word, for i = 0..63.
+_LOW_BITS = np.array([(2 << i) - 1 for i in range(64)], np.uint64)
+# Largest J that _awards plays with the residue pass; the byte pass takes larger ones.
+_RESIDUE_J = 16
 
 
 @functools.lru_cache(maxsize=16)
@@ -355,44 +388,138 @@ def _byte_starts(size: int) -> np.ndarray:
     return starts[:size]
 
 
-def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
-    """Write the award coups of a chunk's k coups into `out` as packed bits; return the loss run left open.
+def _byte_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
+    """_awards by bytes: each byte's award bits looked up by its phase.
 
-    `win` holds the chunk's win bits, 8 coups to a byte, in ceil(k / 8)
-    bytes; bits from k on move only the returned run. The chunk continues a loss run of
-    `losses` coups, whose last win is the virtual coup -1 - losses. A
-    running maximum over each byte's highest win gives the last win
-    before every byte, and so its phase. Award bits from k on are
-    cleared. Nothing is counted twice across chunks: the carried run's
-    earlier awards are in earlier chunks, and the phase places its next
-    one.
+    A running maximum over each byte's highest win gives the last win
+    before every byte, and so its phase (_award_tables).
     """
-    size = win.size
-    starts = _byte_starts(size)
-    last = _scratch_array(size + 1, np.intp, "last_win")
+    used = -(-k // 8)
+    win, out = win.view(np.uint8)[:used], out.view(np.uint8)
+    starts = _byte_starts(used)
+    last = _scratch_array(used + 1, np.intp, "last_win")
     last[0] = -1 - losses
     np.take(_HIGH_WIN, win, out=last[1:], mode="clip")
     np.add(last[1:], starts, out=last[1:])
     # Into its own buffer: numpy holds the GIL through a scan written in place.
-    scan = _scratch_array(size + 1, np.intp, "scan")
+    scan = _scratch_array(used + 1, np.intp, "scan")
     np.maximum.accumulate(last, out=scan)
-    keys = _scratch_array(size, np.intp, "keys")
-    if 8 % j == 0:
-        # Every byte starts at a multiple of 8, so last - start = last mod j.
-        np.bitwise_and(scan[:-1], j - 1, out=keys)
-    else:
-        np.subtract(scan[:-1], starts, out=keys)
-        # keys mod j: numpy's division by a scalar runs twice as fast as np.mod here.
-        quotient = np.floor_divide(keys, j, out=last[:-1])
-        keys -= np.multiply(quotient, j, out=quotient)
-        if j > 8:
-            np.minimum(keys, 8, out=keys)
+    keys = _scratch_array(used, np.intp, "keys")
+    np.subtract(scan[:-1], starts, out=keys)
+    # keys mod j: numpy's division by a scalar runs twice as fast as np.mod here.
+    quotient = np.floor_divide(keys, j, out=last[:-1])
+    keys -= np.multiply(quotient, j, out=quotient)
+    np.minimum(keys, 8, out=keys)
     np.left_shift(keys, 8, out=keys)
     np.add(keys, win, out=keys)
-    np.take(_award_tables(j), keys, out=out, mode="clip")
-    if k & 7:
-        out[-1] &= (1 << (k & 7)) - 1
+    np.take(_award_tables(j), keys, out=out[:used], mode="clip")
     return k - 1 - int(scan[-1])
+
+
+# _residue_tables' tables per J, each grown to the most words asked of it.
+_RESIDUE_TABLES: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+def _residue_tables(j: int, words: int) -> tuple[np.ndarray, ...]:
+    """The residue pass's tables for `words` words at J = j. Read-only.
+
+    With M_r the coups c where c % j == r: `starts` holds M_1 .. M_{j-1},
+    `flips` holds M_r ^ M_{j-1} for r < j - 1, `base` is M_{j-1} ^ every
+    `flips` row, `keys` is 64 w + 64 j - 1023 for word w, and `rows`
+    numbers the rows 0 .. j - 2. The masks repeat every j / gcd(j, 64)
+    words, so one period is packed and tiled. One set per J serves every
+    chunk size, so a run's shorter last chunk adds no tables.
+    """
+    tables = _RESIDUE_TABLES.get(j)
+    if tables is None or tables[3].size < words:
+        period = j // np.gcd(j, 64)
+        one = np.packbits(np.arange(64 * period) % j == np.arange(j)[:, None], axis=-1, bitorder="little")
+        masks = np.tile(one.view(np.uint64), -(-words // period))[:, :words]
+        flips = masks[:-1] ^ masks[-1]
+        base = np.bitwise_xor.reduce(flips, axis=0) ^ masks[-1]
+        keys = np.arange(64 * j - 1023, 64 * (words + j) - 1023, 64)
+        tables = masks[1:].copy(), flips, base, keys, np.arange(j - 1)[:, None]
+        for array in tables:
+            array.flags.writeable = False
+        _RESIDUE_TABLES[j] = tables
+    if tables[3].size == words:
+        return tables
+    starts, flips, base, keys, rows = tables
+    return starts[:, :words], flips[:, :words], base[:words], keys[:words], rows
+
+
+def _residue_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
+    """_awards by residue class, a few passes over whole words.
+
+    A loss run pays at the coups of its last win's residue mod j. Row r
+    < j - 1 marks the coup after each residue-r win, and adding the marks
+    to the loss bits L carries through the runs they start, so row r of
+    T = L + marks is 0 on residue r's runs and 1 on the other losses; the
+    runs of residue j - 1 are 1 in every row. A loss's award bit is then
+    base ^ (the XOR over r of flips_r & T_r) (_residue_tables). A carry
+    out of bit 63 is dropped: each word's lead run, its losses before its
+    first win, is marked at bit 0 in the row of the last win before the
+    word, found by one running maximum over the words' highest wins. A
+    word's highest win is the float exponent of its wins with no win
+    directly above, which rounds to no higher power of two.
+    """
+    words = win.size
+    starts, flips, base, keys, rows = _residue_tables(j, words)
+
+    def buffers() -> tuple:
+        last = _scratch_array(words + 1, np.int64, "residue_last")
+        return (
+            _scratch_array(words, np.uint64, "residue_tops"),
+            _scratch_array(words, float, "residue_floats"),
+            last,
+            last[1:],
+            _scratch_array(words + 1, np.int64, "residue_scan"),
+            _scratch_array((j - 1) * words, np.uint64, "residue_runs").reshape(j - 1, words),
+            _scratch_array((j - 1) * words, bool, "lead_marks").reshape(j - 1, words),
+        )
+
+    tops, floats, last, lead, scan, runs, marks = _scratch_views("residue", (j, words), buffers)
+    # The loss bits, in `out` until the last step keeps their award coups.
+    loss = np.invert(win, out=out)
+    np.right_shift(win, 1, out=tops)
+    np.bitwise_and(np.invert(tops, out=tops), win, out=tops)
+    np.copyto(floats, tops, casting="unsafe")
+    exponents = floats.view(np.int64)
+    # The carried run's last win, mod j, 64 j below the chunk's first coup.
+    last[0] = 64 * j - 1 - losses % j
+    np.add(np.right_shift(exponents, 52, out=lead), keys, out=lead)
+    # A word without wins is the float 0.0: its key drops to 0, below every win.
+    np.minimum(lead, exponents, out=lead)
+    # Into its own buffer: numpy holds the GIL through a scan written in place.
+    np.maximum.accumulate(last, out=scan)
+    if j & (j - 1):
+        # scan mod j: numpy's division by a scalar runs faster than np.remainder here.
+        np.subtract(scan[:-1], np.multiply(np.floor_divide(scan[:-1], j, out=lead), j, out=lead), out=lead)
+    else:
+        np.bitwise_and(scan[:-1], j - 1, out=lead)
+    # A residue-r win's next coup is residue r + 1.
+    np.bitwise_and(np.left_shift(win, 1, out=tops), starts, out=runs)
+    np.bitwise_or(runs, np.equal(lead, rows, out=marks), out=runs)
+    np.add(runs, loss, out=runs)
+    np.bitwise_and(runs, flips, out=runs)
+    np.bitwise_xor(np.bitwise_xor.reduce(runs, axis=0, out=tops), base, out=tops)
+    np.bitwise_and(loss, tops, out=loss)
+    found = int(scan[-1]) - 64 * j
+    return k - 1 - found if found >= 0 else losses + k
+
+
+def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
+    """Write the award coups of a chunk's k coups into `out` as 64-coup words; return the loss run left open.
+
+    `win` holds the chunk's win bits in ceil(k / 64) words; bits from k on
+    move only the returned run. The chunk continues a loss run of
+    `losses` coups, whose last win is the virtual coup -1 - losses. Award
+    bits from k on are left for the caller to clear. Nothing is counted
+    twice across chunks: the carried run's earlier awards are in earlier
+    chunks. J up to _RESIDUE_J takes the residue pass, larger J the byte
+    pass.
+    """
+    return (_residue_awards if j <= _RESIDUE_J else _byte_awards)(win, k, j, losses, out)
 
 
 @dataclass
@@ -415,9 +542,10 @@ def _pattern_chunks(layout: _Layout, segment: _Segment, seed: int, j: int) -> It
 
     Yields each chunk's coup count k and its rows as 64-bit words, bit i
     of a row for coup i: row 0 marks the award coups, row 1 + q the coups
-    of pair q's arm whose uniform is below the pair's threshold. Bits from
-    k on are 0: uniforms past the run's end are set to 1.0, below no
-    threshold, and _awards clears its bits there. Only the run's last
+    of pair q's arm whose uniform is below the pair's threshold, and the
+    last rows each arm's coups. Bits from k on are cleared. Uniforms past
+    the run's end are set to 1.0, below no threshold, and the planes past
+    the last row are cleared up to a whole word. Only the run's last
     chunk ends inside a row, so a win bit set past its end (a position
     whose last region wins) moves only the loss run it leaves open, which
     nothing reads. The segment's stream is PCG64(seed) advanced by its
@@ -428,38 +556,42 @@ def _pattern_chunks(layout: _Layout, segment: _Segment, seed: int, j: int) -> It
         stream.advance(segment.first)
     rng = np.random.Generator(stream)
     row, step = layout.row, layout.step
-    planes = layout.thresholds.shape[0]
-    uniforms = _scratch_array(step, float, "uniforms")
-    grid = uniforms.reshape(-1, row)
-    below = _scratch_array(planes * step, bool, "planes").reshape(planes, step // row, row)
-    width = -(-step // 64)
-    words = _scratch_array((1 + layout.pair_planes.size) * width, np.uint64, "bits").reshape(-1, width)
-    bits = words.view(np.uint8)
+    planes, width = layout.flips.shape
+    arm_row = 1 + layout.pair_planes.size
+    bit_rows = arm_row + layout.arm_masks.shape[0]
+
+    def buffers() -> tuple:
+        uniforms = _scratch_array(step, float, "uniforms")
+        # Spare rows let every plane run on to a whole word past the chunk's last row.
+        rows_held = step // row + -(-64 // row)
+        below = _scratch_array(planes * rows_held * row, bool, "planes").reshape(planes, rows_held, row)
+        words = _scratch_array(bit_rows * width, np.uint64, "bits").reshape(bit_rows, width)
+        return uniforms, uniforms.reshape(-1, row), below, below.reshape(planes, rows_held * row), words
+
+    uniforms, grid, below, flat, words = _scratch_views("chunks", (row, step, planes, bit_rows, width), buffers)
     losses = 0
     for start in range(segment.first, segment.end, step):
         k = min(step, segment.end - start)
         rows = -(-k // row)
+        used = -(-k // 64)
         rng.random(out=uniforms[:k])
         uniforms[k : rows * row] = 1.0
         np.less(grid[:rows], layout.thresholds[:, None], out=below[:, :rows])
-        packed = np.packbits(below[:, :rows].reshape(planes, rows * row), axis=-1, bitorder="little")
-        size = packed.shape[1]
-        win = np.bitwise_xor.reduce(packed & layout.flips[:, :size], axis=0) ^ layout.always[:size]
-        used = -(-k // 8)
+        if rows * row < 64 * used:
+            flat[:, rows * row : 64 * used] = False
+        packed = np.packbits(flat[:, : 64 * used], axis=-1, bitorder="little").view(np.uint64)
+        win = np.bitwise_xor.reduce(packed & layout.flips[:, :used], axis=0) ^ layout.always[:used]
         if segment.first and segment.first_win is None:
-            hits = np.flatnonzero(win[:used])
+            hits = np.flatnonzero(win)
             if hits.size:
-                byte = int(win[hits[0]])
-                segment.first_win = start - segment.first + 8 * int(hits[0]) + (byte & -byte).bit_length() - 1
-        segment.losses = losses = _awards(win[:used], k, j, losses, bits[0, :used])
-        np.bitwise_and(packed[layout.pair_planes, :used], layout.pair_masks[:, :used], out=bits[1:, :used])
-        chunk_words = -(-k // 64)
-        bits[:, used : 8 * chunk_words] = 0
-        yield k, words[:, :chunk_words]
-
-
-# Mask of bits 0..i of a word, for i = 0..63.
-_LOW_BITS = np.array([(2 << i) - 1 for i in range(64)], np.uint64)
+                word = int(win[hits[0]])
+                segment.first_win = start - segment.first + 64 * int(hits[0]) + (word & -word).bit_length() - 1
+        segment.losses = losses = _awards(win, k, j, losses, words[0, :used])
+        np.bitwise_and(packed[layout.pair_planes], layout.pair_masks[:, :used], out=words[1:arm_row, :used])
+        words[arm_row:, :used] = layout.arm_masks[:, :used]
+        if k & 63:
+            words[:, used - 1] &= _LOW_BITS[(k - 1) & 63]
+        yield k, words[:, :used]
 
 
 def _sums_before(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -488,12 +620,12 @@ def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, 
     its coup. The chunks start at coup `start` of the run, which places
     the marks and the first column.
     """
-    totals = None
-    values = []
+    end, values = None, []
     for k, words in chunks:
         counts = np.bitwise_count(words, out=_scratch_array(words.size, np.uint8, "counts").reshape(words.shape))
-        if totals is None:
-            totals = np.zeros(words.shape[0], np.int64)
+        if end is None:
+            end = np.zeros((1, 1 + words.shape[0]), np.int64)
+            totals = end[0, 1:]
         if stride is not None:
             marks = np.arange(stride - 1 - start % stride, k, stride)
             if marks.size:
@@ -502,10 +634,11 @@ def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, 
                 counted = np.bitwise_count(partial).astype(np.int64)
                 counted += _sums_before(counts, at + 1) - counts[:, at] + totals[:, None]
                 values.append(np.vstack([start + 1 + marks, counted]).T)
-        totals += counts.sum(axis=1, dtype=np.int64)
+        # A chunk row holds fewer than 2**32 bits, and uint32 sums run faster than int64 ones.
+        totals += np.add.reduce(counts, axis=1, dtype=np.uint32)
         start += k
-    values.append(np.array([[start, *totals]]))
-    return np.concatenate(values)
+    end[0, 0] = start
+    return np.concatenate([*values, end]) if values else end
 
 
 def _outcomes(layout: _Layout, tallies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -516,10 +649,8 @@ def _outcomes(layout: _Layout, tallies: np.ndarray) -> tuple[np.ndarray, np.ndar
     regions left to right, in one running sum, so equal counts give equal
     bits.
     """
-    periods, offsets = np.divmod(tallies[:, 0], layout.n)
-    played = periods[:, None] * layout.before[-1] + layout.before[offsets]
-    counts = np.concatenate([tallies[:, 2:], played], axis=1) @ layout.regions
-    return counts @ layout.won, np.add.accumulate(counts * layout.rewards, axis=1)[:, -1]
+    counts = tallies[:, 2:] @ layout.regions
+    return counts[:, 0], np.add.accumulate(counts[:, 1:] * layout.rewards, axis=1)[:, -1]
 
 
 def _run(
@@ -536,7 +667,7 @@ def _run(
     segment without a win passes L plus its length on.
     """
     n, j = spec.n, spec.j
-    row = -(-min(_ROW, CHUNK, coups) // n) * n
+    row = -(-min(_ROW + 1, CHUNK, coups) // n) * n
     step = -(-min(CHUNK, coups) // row) * row
     arms = tuple((label, spec.arms[label]) for label in dict.fromkeys(spec.sequence))
     layout = _layout(spec.sequence, arms, row, step)
@@ -554,21 +685,25 @@ def _run(
 
     with ThreadPoolExecutor(segments - 1) if segments > 1 else contextlib.nullcontext() as pool:
         helpers = [pool.submit(play, part) for part in parts[1:]]
-        tallies = [play(parts[0]), *(helper.result() for helper in helpers)]
-    before, losses = tallies[0][-1, 1:], parts[0].losses
-    for part, rows in zip(parts[1:], tallies[1:]):
-        rows[:, 1:] += before
-        if losses % j:
-            covered = rows[:, 0] - part.first
-            if part.first_win is not None:
-                np.minimum(covered, part.first_win, out=covered)
-            rows[:, 1] += (losses + covered) // j - losses // j - covered // j
-        before = rows[-1, 1:]
-        losses = part.losses + (losses if part.first_win is None else 0)
-    # Each segment's tally ends at its last coup: a trajectory keeps its marks, a ledger the run's end.
-    tallies = tallies[-1] if stride is None else np.concatenate([rows[:-1] for rows in tallies])
-    # The futures and the merge still hold the segments' own tallies: free them before the outcomes.
-    helpers = rows = before = None
+        tallies = play(parts[0])
+    if helpers:
+        tallies = [tallies, *(helper.result() for helper in helpers)]
+        before, losses = tallies[0][-1, 1:], parts[0].losses
+        for part, rows in zip(parts[1:], tallies[1:]):
+            rows[:, 1:] += before
+            if losses % j:
+                covered = rows[:, 0] - part.first
+                if part.first_win is not None:
+                    np.minimum(covered, part.first_win, out=covered)
+                rows[:, 1] += (losses + covered) // j - losses // j - covered // j
+            before = rows[-1, 1:]
+            losses = part.losses + (losses if part.first_win is None else 0)
+        # A trajectory keeps each segment's marks, without the row at its last coup.
+        tallies = np.concatenate([rows[:-1] for rows in tallies])
+        # The futures and the merge still hold the segments' own tallies: free them before the outcomes.
+        helpers = rows = before = None
+    elif stride is not None:
+        tallies = tallies[:-1]
     return tallies, _outcomes(layout, tallies)
 
 
@@ -645,8 +780,21 @@ def _run_replications(run_one, config: SimConfig, workers: int) -> SimResult:
         for k in range(reps):
             task(k)
     else:
+        # One pool task per worker, each taking the next index until none is
+        # left: a future per replication costs about 20 us.
+        indices, taking = iter(range(reps)), threading.Lock()
+
+        def drain() -> None:
+            while True:
+                with taking:
+                    k = next(indices, None)
+                if k is None:
+                    return
+                task(k)
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, range(reps)))
+            for done in [pool.submit(drain) for _ in range(min(workers, reps))]:
+                done.result()
     sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0
     return SimResult(rep_means, float(rep_means.mean()), sd, sd / reps**0.5 if reps > 1 else 0.0)
 

@@ -771,3 +771,54 @@ class TestNumericFailure:
         assert_one_line(err, "numeric failure:")
         assert out == ""
         assert not out_path.exists()
+
+
+class TestOneParser:
+    """main builds its parser once per process; every call still parses afresh."""
+
+    def test_parser_is_shared(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_mixed_and_rejected_calls_repeat_their_output(self, capsys, tmp_path):
+        # Each command's output, and the file it writes, must read the same
+        # on a repeat, in any order, and after argparse exits 2 on bad flags.
+        commands = [
+            ["exact", "--strategy", "AABB", "--pa", "0.3", "--pb", "0.7", "--format", "json"],
+            ["simulate", "--strategy", "AAB", "--pa", "0.3", "--pb", "0.7", "--coups", "500",
+             "--reps", "3", "--seed", "4", "--out", str(tmp_path / "simulate.csv")],
+            ["trajectory", "--strategy", "AB", "--pa", "0.3", "--pb", "0.7", "--coups", "300",
+             "--stride", "50", "--seed", "2", "--out", str(tmp_path / "trajectory.csv")],
+            ["machine-info", "--mills", "--format", "json"],
+        ]  # fmt: skip
+
+        def play(argv):
+            code, out, err = run_cli(capsys, *argv)
+            written = [path.read_bytes() for path in sorted(tmp_path.iterdir())]
+            return code, out, err, written
+
+        first = []
+        for argv in commands:
+            first.append(play(argv))
+            for path in tmp_path.iterdir():
+                path.unlink()
+        for order in (commands, commands[::-1], commands):
+            for argv in order:
+                with pytest.raises(SystemExit) as rejected:
+                    main([argv[0], "--no-such-flag"])
+                assert rejected.value.code == 2
+                capsys.readouterr()
+                assert play(argv) == first[commands.index(argv)], argv[0]
+                for path in tmp_path.iterdir():
+                    path.unlink()
+
+    def test_empirical_reduction_of_a_top_reward(self, capsys, tmp_path):
+        # The mean positive reward of a lone 2**53 reward at probability
+        # 0.468 rounds above the cap; the reduction caps it, so the run plays.
+        machine_path = tmp_path / "top.machine"
+        machine_path.write_text("0 0.532\n9007199254740992 0.468\n\n0 0.25\n1.5 0.75\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "trajectory", "--strategy", "AB", "--machine", str(machine_path), "--reduction",
+            "empirical", "--coups", "200", "--stride", "100", "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        assert len(out.strip().split("\n")) == 3

@@ -65,6 +65,19 @@ class TestReductions:
         assert empirical_two_point(mode_e).u == pytest.approx(8.75, rel=1e-12)
         assert empirical_two_point(mode_o).u == pytest.approx(2.234 / 0.643, rel=1e-12)
 
+    def test_empirical_payout_stays_within_the_table(self):
+        # The mean positive reward rounds above a lone 2**53 reward for some
+        # q; it is capped at that reward, the largest the table pays.
+        for k in range(1, 1000):
+            q = k / 1000
+            arm = empirical_two_point(MultipointDistribution(((0.0, 1 - q), (2.0**53, q))))
+            assert arm.u <= 2.0**53 and arm.u == pytest.approx(2.0**53, rel=1e-12), q
+        # A reward the table pays with probability 0 caps nothing.
+        arm = empirical_two_point(MultipointDistribution(((0.0, 0.5), (3.0, 0.5), (7.0, 0.0))))
+        assert arm.u == 3.0
+        # Rounding can leave a win probability without a positive reward: it pays nothing.
+        assert empirical_two_point(MultipointDistribution(((0.0, 1 - 1e-13),))).u == 0.0
+
     def test_expected_payouts(self):
         mode_e, mode_o = mills_modes()
         assert expected_payout(mode_e) == pytest.approx(0.28, rel=1e-12)

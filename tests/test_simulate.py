@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -127,6 +128,35 @@ class TestDeterminism:
         parallel = replicate(spec, config, workers=3)
         assert len(threads) == 6 and threading.main_thread().ident not in threads
         assert np.array_equal(serial.rep_means, parallel.rep_means)
+
+    def test_workers_take_every_replication_once(self, monkeypatch):
+        # More workers than cores, and than replications, share one index
+        # iterator; with thread switches forced every microsecond, each
+        # replication must still be played exactly once, at its own index.
+        seeds, play = [], simulate.simulate_once
+
+        def counted(spec, coups, seed):
+            seeds.append(seed)  # list.append is atomic under the GIL
+            return play(spec, coups, seed)
+
+        monkeypatch.setattr(simulate, "simulate_once", counted)
+        spec = fair_chain(parse_strategy("AAB"), PROBS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reps, workers in ((400, 8), (30, simulate.MAX_WORKERS)):
+                config = SimConfig(coups=70, replications=reps, master_seed=9)
+                serial = replicate(spec, config, workers=1)
+                seeds.clear()
+                done = []
+                runner = threading.Thread(target=lambda: done.append(replicate(spec, config, workers=workers)))
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive() and len(done) == 1
+                assert np.array_equal(done[0].rep_means, serial.rep_means)
+                assert sorted(seeds) == sorted(derive_seed(9, k) for k in range(reps))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_sub_seeds_are_counter_based(self):
         # frozen values pin the documented derivation across versions
@@ -303,14 +333,14 @@ class TestChunkBoundaries:
 
     def test_multipoint_trajectory_memory_does_not_grow_with_coups(self):
         # The pattern's layout is built once and the uniform, plane, bit
-        # and key buffers once per thread, so neither grows with the run.
+        # and award buffers once per thread, so neither grows with the run.
         mode_e, mode_o = mills_modes()
         spec = ChainSpec(sequence=tuple("AAABB"), arms={"A": mode_e, "B": mode_o}, j=2)
         small, large = trajectory_peaks(spec)
         assert large < 1.25 * small
         assert large < 8 * 16 * simulate.CHUNK / 4
         buffers = dict(vars(simulate._scratch))
-        assert {"uniforms", "planes", "bits", "keys"} <= set(buffers)
+        assert {"uniforms", "planes", "bits", "residue_runs"} <= set(buffers)
         cumulative_trajectory(spec, 16 * simulate.CHUNK, 6, stride=simulate.CHUNK)
         assert all(vars(simulate._scratch)[name] is buffer for name, buffer in buffers.items())
 
@@ -329,15 +359,60 @@ def streak_walk(win, j, losses):
 
 
 def award_chunk(win, j, losses):
-    """The bit rows _pattern_chunks yields for a win mask: its award bits alone, and the loss run left open."""
-    words = np.zeros((1, -(-win.size // 64)), np.uint64)
-    used = -(-win.size // 8)
-    run = simulate._awards(np.packbits(win, bitorder="little"), win.size, j, losses, words.view(np.uint8)[0, :used])
+    """The bit rows _pattern_chunks yields for a win mask: its award bits alone, and the loss run left open.
+
+    Plays the win mask through _awards, and through each award pass
+    defined at this J, which must agree bit for bit. Award bits start as
+    garbage, so every bit the passes leave is their own, and bits from
+    the mask's end on are cleared, as _pattern_chunks does.
+    """
+    size = -(-win.size // 64)
+    packed = np.zeros(8 * size, np.uint8)
+    packed[: -(-win.size // 8)] = np.packbits(win, bitorder="little")
+    passes = [simulate._awards, simulate._byte_awards, simulate._residue_awards]
+    played = []
+    for award_pass in passes:
+        words = np.full((1, size), 0xA5A5A5A5A5A5A5A5, np.uint64)
+        played.append((award_pass(packed.view(np.uint64), win.size, j, losses, words[0]), words))
+        words[0, -1] &= simulate._LOW_BITS[(win.size - 1) & 63]
+    run, words = played[0]
+    for other, other_words in played[1:]:
+        assert other == run and other_words.tobytes() == words.tobytes()
     return (win.size, words), run
 
 
+def assert_awards_match_walk(win, j, losses):
+    """The award bits and open run of a win mask, by every award pass, against the streak walk.
+
+    The mask continues a run of `losses` losses. Up to 10**4 of them are
+    also played as a chunk of their own, and _tally then counts the award
+    bits up to every coup of the two chunks.
+    """
+    size = win.size
+    stakes, awards, run = streak_walk(win, j, losses)
+    (_, words), open_run = award_chunk(win, j, losses)
+    assert open_run == run
+    award_bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    assert award_bits[:size].tolist() == [stake != 1.0 for stake in stakes]
+    assert not award_bits[size:].any()
+    if losses > 10**4:
+        return
+    chunks, carried = [], 0
+    for mask in [np.zeros(losses, bool)] * bool(losses) + [win]:
+        chunk, carried = award_chunk(mask, j, carried)
+        chunks.append(chunk)
+    tallies = simulate._tally(iter(chunks), stride=1)
+    # The last row is the run's end, here the same as its last mark.
+    assert tallies[-1].tolist() == tallies[-2].tolist()
+    tallies = tallies[:-1]
+    whole_stakes, whole_awards, _ = streak_walk(np.concatenate([np.zeros(losses, bool), win]), j, 0)
+    assert tallies[:, 0].tolist() == list(range(1, losses + size + 1))
+    assert np.diff(tallies[:, 1], prepend=0).tolist() == [stake != 1.0 for stake in whole_stakes]
+    assert simulate._tally(iter(chunks)).tolist() == [[losses + size, whole_awards]]
+
+
 class TestByteReduction:
-    """The packed-byte award bits against a literal streak walk."""
+    """The award bits of the residue and byte passes against a literal streak walk."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -347,32 +422,34 @@ class TestByteReduction:
         st.integers(2, 20),
         st.integers(0, 50),
     )
-    # J dividing 8 takes each byte's phase from the last win by one mask.
     @example(size=2999, p=0.3, seed=11, j=2, losses=7)
     @example(size=1000, p=0.15, seed=12, j=4, losses=3)
     @example(size=3000, p=0.05, seed=13, j=8, losses=45)
+    # Words of 64 losses: 24 of the 46 whole words hold no win.
+    @example(size=3000, p=0.01, seed=14, j=2, losses=0)
+    @example(size=3000, p=0.01, seed=14, j=3, losses=5)
+    # Wins on bit 63 before a word that opens with losses, 12 and 13 times;
+    # 64 is no multiple of 3 or 7, so bit 63's residue changes from word to word.
+    @example(size=3000, p=0.5, seed=18, j=3, losses=1)
+    @example(size=3000, p=0.5, seed=21, j=7, losses=4)
+    # Carried runs of a word, less one, and of far more than a chunk.
+    @example(size=700, p=0.2, seed=15, j=3, losses=63)
+    @example(size=700, p=0.2, seed=16, j=5, losses=64)
+    @example(size=700, p=0.02, seed=17, j=7, losses=2**40)
+    # One coup into the last word.
+    @example(size=2945, p=0.4, seed=19, j=6, losses=9)
     def test_matches_streak_walk(self, size, p, seed, j, losses):
         win = np.random.default_rng(seed).random(size) < p
-        stakes, awards, run = streak_walk(win, j, losses)
-        (_, words), open_run = award_chunk(win, j, losses)
-        assert open_run == run
-        award_bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        assert award_bits[:size].tolist() == [stake != 1.0 for stake in stakes]
-        assert not award_bits[size:].any()
-        # The run carries in from a chunk of `losses` losses, and _tally counts
-        # the award bits up to every coup.
-        chunks, carried = [], 0
-        for mask in [np.zeros(losses, bool)] * bool(losses) + [win]:
-            chunk, carried = award_chunk(mask, j, carried)
-            chunks.append(chunk)
-        tallies = simulate._tally(iter(chunks), stride=1)
-        # The last row is the run's end, here the same as its last mark.
-        assert tallies[-1].tolist() == tallies[-2].tolist()
-        tallies = tallies[:-1]
-        whole_stakes, whole_awards, _ = streak_walk(np.concatenate([np.zeros(losses, bool), win]), j, 0)
-        assert tallies[:, 0].tolist() == list(range(1, losses + size + 1))
-        assert np.diff(tallies[:, 1], prepend=0).tolist() == [stake != 1.0 for stake in whole_stakes]
-        assert simulate._tally(iter(chunks)).tolist() == [[losses + size, whole_awards]]
+        assert_awards_match_walk(win, j, losses)
+
+    @pytest.mark.parametrize("j", [3, 7])
+    def test_lead_runs_after_bit_63(self, j):
+        # Every lead run anchors on a win at bit 63 of an earlier word, some
+        # across a word of losses, and a few wins sit inside the words.
+        win = np.zeros(64 * 12 + 5, bool)
+        win[[63, 127, 191, 319, 447, 448, 575, 700]] = True
+        for losses in (0, 1, j - 1, j, 2**33 + 1):
+            assert_awards_match_walk(win, j, losses)
 
     def test_tables(self):
         for j in (2, 8, 9, 20):
@@ -715,6 +792,22 @@ class TestSplitRuns:
             simulate_once(spec, coups, 4)
             assert len(played) == 1, (cores, coups)
 
+    def test_segments_play_at_once(self, monkeypatch):
+        # Every segment starts, this thread's too, before any of them ends:
+        # the barrier breaks if segment 0 plays before the others start.
+        monkeypatch.setattr(simulate, "CHUNK", self.CHUNK)
+        monkeypatch.setattr(simulate, "_SEGMENT_CHUNKS", 1)
+        monkeypatch.setattr(simulate, "_usable_cores", lambda: 3)
+        started, chunks = threading.Barrier(3, timeout=10), simulate._pattern_chunks
+
+        def gathered(*args):
+            started.wait()
+            return chunks(*args)
+
+        monkeypatch.setattr(simulate, "_pattern_chunks", gathered)
+        spec = fair_chain(parse_strategy("AB"), PROBS)
+        assert cumulative_trajectory(spec, 3 * self.CHUNK, 4, stride=self.CHUNK).shape == (3, 2)
+
     def test_segment_tallies_freed_before_outcomes(self, monkeypatch):
         # Once merged, the segments' own tallies are dropped: on entry to
         # _outcomes a stride-1 run holds little besides the merged rows.
@@ -747,6 +840,25 @@ def test_usable_cores_without_affinity(monkeypatch):
     assert simulate._usable_cores() == 6
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
     assert simulate._usable_cores() == 1
+
+
+def test_rows_pass_4096_coups(monkeypatch):
+    # A 10**5-coup run compares its uniforms in rows of the first whole
+    # number of pattern periods past 4096 coups, never in rows of 4096.
+    laid_out, layout = [], simulate._layout
+
+    def recorded(sequence, arms, row, step):
+        laid_out.append((len(sequence), row, step))
+        return layout(sequence, arms, row, step)
+
+    monkeypatch.setattr(simulate, "_layout", recorded)
+    specs = [single_arm_chain(0.3, 2.0)] + [fair_chain(parse_strategy(text), PROBS) for text in ("AB", "AABB", "AAAABBBB")]
+    for spec in specs:
+        simulate_once(spec, 10**5, 1)
+        n, row, step = laid_out[-1]
+        assert row % n == 0 and row - n <= 4096 < row, (n, row)
+        assert step % row == 0 and 10**5 <= step < 10**5 + row, (n, step)
+    assert [n for n, _, _ in laid_out] == [1, 2, 4, 8]
 
 
 def test_layout_reuses_cached_arm_data(monkeypatch):
