@@ -47,11 +47,14 @@ maximum over each byte's highest win gives the last win before every
 byte, and so the byte's phase, and a table per J keyed by phase and byte
 gives the byte's award coups. The residue pass does J - 1 rows of word
 work where the byte pass does one table lookup per byte, so it is the
-faster only for small J (2**17-coup chunk, 2 vCPUs, numpy 2.4.6: 34-36
-us at J = 2 and 109-119 us at J = 16 against 143-148 us for the byte
-pass; about even at J = 20, slower from 22). The loss run still open at
-a chunk's end carries into the next one. Both passes are a streak walk,
-bit for bit.
+faster only for small J (2**17-coup chunk, 2 vCPUs, numpy 2.4.6, over
+three J sweeps: 38-42 us at J = 2 and 126-154 us at J = 19 against
+137-163 us for the byte pass; at J = 20 ahead in five of six sweeps of
+this and an earlier version of the pass, behind from J = 21).
+_RESIDUE_J is the largest J that the residue pass won in every sweep.
+It is set from these per-pass timings alone: no end-to-end benchmark
+runs J above 2. The loss run still open at a chunk's end carries into
+the next one. Both passes are a streak walk, bit for bit.
 
 Split trajectories and replicate's workers play chunks on several
 threads at once. After the draw, a chunk's pass is a few dozen numpy
@@ -231,7 +234,8 @@ def _scratch_views(name: str, key: tuple, build: Callable[[], tuple]) -> tuple:
     """This thread's views `name` of its scratch buffers, made by build() and remade only when `key` changes.
 
     A run of replications of one shape takes its buffers and reshapes
-    them once, not once per run.
+    them once, not once per run: a 64-coup replication took 3-7 us more
+    without them (70-80 us in all, 2 vCPUs, numpy 2.4.6).
     """
     views = _scratch.__dict__.setdefault("views", {})
     held = views.get(name)
@@ -352,7 +356,8 @@ _HIGH_WIN = np.array([byte.bit_length() - 1 if byte else -(1 << 62) for byte in 
 # Mask of bits 0..i of a word, for i = 0..63.
 _LOW_BITS = np.array([(2 << i) - 1 for i in range(64)], np.uint64)
 # Largest J that _awards plays with the residue pass; the byte pass takes larger ones.
-_RESIDUE_J = 16
+# Set from per-pass J sweeps only (see the module notes).
+_RESIDUE_J = 19
 
 
 @functools.lru_cache(maxsize=16)
@@ -492,11 +497,8 @@ def _residue_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarra
     np.minimum(lead, exponents, out=lead)
     # Into its own buffer: numpy holds the GIL through a scan written in place.
     np.maximum.accumulate(last, out=scan)
-    if j & (j - 1):
-        # scan mod j: numpy's division by a scalar runs faster than np.remainder here.
-        np.subtract(scan[:-1], np.multiply(np.floor_divide(scan[:-1], j, out=lead), j, out=lead), out=lead)
-    else:
-        np.bitwise_and(scan[:-1], j - 1, out=lead)
+    # scan mod j: numpy's division by a scalar runs faster than np.remainder here.
+    np.subtract(scan[:-1], np.multiply(np.floor_divide(scan[:-1], j, out=lead), j, out=lead), out=lead)
     # A residue-r win's next coup is residue r + 1.
     np.bitwise_and(np.left_shift(win, 1, out=tops), starts, out=runs)
     np.bitwise_or(runs, np.equal(lead, rows, out=marks), out=runs)
