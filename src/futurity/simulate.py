@@ -35,36 +35,32 @@ integer rewards are exact while their totals stay below 2**53.
 A coup's win bit is the XOR of its planes, each masked to the positions
 whose win flag flips at that threshold, with the flag of its arm's last
 region. Awards are marked many coups at a time, never per win: a loss
-run pays at every J-th coup after its last win, the coups of that win's
-residue mod J. Up to J = _RESIDUE_J the residue pass works on 64-coup
-words: for each residue r < J - 1 it marks the coup after every
-residue-r win, and adding the marks to the loss bits carries through
-exactly the runs they start; the runs of residue J - 1 are the losses no
-row took. A word's lead run, its losses before its first win, starts in
-the row of the last win before the word, which one running maximum over
-the words' highest wins finds. Larger J takes the byte pass: a running
-maximum over each byte's highest win gives the last win before every
-byte, and so the byte's phase, and a table per J keyed by phase and byte
-gives the byte's award coups. The residue pass does J - 1 rows of word
-work where the byte pass does one table lookup per byte, so it is the
-faster only for small J (2**17-coup chunk, 2 vCPUs, numpy 2.4.6, over
-three J sweeps: 38-42 us at J = 2 and 126-154 us at J = 19 against
-137-163 us for the byte pass; at J = 20 ahead in five of six sweeps of
-this and an earlier version of the pass, behind from J = 21).
-_RESIDUE_J is the largest J that the residue pass won in every sweep.
-It is set from these per-pass timings alone: no end-to-end benchmark
-runs J above 2. The loss run still open at a chunk's end carries into
-the next one. Both passes are a streak walk, bit for bit.
+run pays at every J-th coup after its last win. Two passes mark them on
+64-coup words, and both find the last win before every word with one
+running maximum (_last_wins). A word's lead run, its losses before its
+first win, continues that win's run. The word pass reads the lead run's
+award bits from a table by their offset mod J, and marks the runs that
+wins inside the word start by a doubling scan over shifts J, 2J, 4J, ...
+For J up to _RESIDUE_J the residue pass is faster: for each residue
+r < J - 1 it marks the coup after every residue-r win, and adding the
+marks to the loss bits carries through exactly the runs they start; the
+runs of residue J - 1 are the losses no row took. It does J - 1 rows of
+word work (2**17-coup chunk, 2 vCPUs, numpy 2.4.6, six sweeps: 37-40
+against 65-70 us for the word pass at J = 2, 62-69 against 64-73 us at
+J = 6, behind in every sweep from J = 7; the word pass took 58-68 us at
+J = 20 and 32-35 us at J >= 64). _RESIDUE_J is the largest J that the
+residue pass won in every sweep, set from these per-pass timings alone:
+no end-to-end benchmark runs J above 2. The loss run open at a chunk's end carries
+into the next one. Both passes are a streak walk, bit for bit.
 
 Split trajectories and replicate's workers play chunks on several
 threads at once. After the draw, a chunk's pass is a few dozen numpy
 calls that release the GIL, each only 1-20 us on a 2**17-coup chunk,
 and calls that short barely overlap across threads. So the pass makes
-few, large calls: one np.bitwise_count call counts the bits, and each
-award pass writes its scan to a buffer of its own, since numpy holds
-the GIL through a scan written in place. The residue pass makes more
-calls than the byte pass, but on a chunk's 2**11 words instead of its
-2**14 bytes.
+few, large calls: one np.bitwise_count call counts the bits, and the
+running maximum over wins writes its scan to a buffer of its own, since
+numpy holds the GIL through a scan written in place. Either award pass makes a few
+dozen calls on a chunk's 2**11 words.
 
 Reproducibility contract: replication k of a run with master seed m uses the
 PCG64 stream seeded with mix64(m + (k+1) * 0x9E3779B97F4A7C15), where mix64
@@ -231,7 +227,7 @@ def _scratch_array(size: int, dtype, name: str) -> np.ndarray:
 
 
 def _scratch_views(name: str, key: tuple, build: Callable[[], tuple]) -> tuple:
-    """This thread's views `name` of its scratch buffers, made by build() and remade only when `key` changes.
+    """This thread's views `name` of its scratch buffers and tables, made by build() and remade only when `key` changes.
 
     A run of replications of one shape takes its buffers and reshapes
     them once, not once per run: a 64-coup replication took 3-7 us more
@@ -351,106 +347,54 @@ def _layout(sequence: tuple[str, ...], arms: tuple, row: int, step: int) -> _Lay
     return layout
 
 
-# Highest win bit of each byte of a packed win mask; far below any coup index when none.
-_HIGH_WIN = np.array([byte.bit_length() - 1 if byte else -(1 << 62) for byte in range(256)])
 # Mask of bits 0..i of a word, for i = 0..63.
 _LOW_BITS = np.array([(2 << i) - 1 for i in range(64)], np.uint64)
-# Largest J that _awards plays with the residue pass; the byte pass takes larger ones.
+# Largest J that _awards plays with the residue pass; the word pass takes larger ones.
 # Set from per-pass J sweeps only (see the module notes).
-_RESIDUE_J = 19
+_RESIDUE_J = 6
+# Coup c's key in the running maximum over wins (_last_wins) is c + _KEY. Every
+# key sits above the 0 that words without wins clamp to, and below 2**62 - 2**52,
+# the float exponent of a word whose highest win is bit 0.
+_KEY = 1 << 61
 
 
-@functools.lru_cache(maxsize=16)
-def _award_tables(j: int) -> np.ndarray:
-    """Award coups of one 8-coup byte as bits, keyed by phase*256 + byte.
+def _last_wins(win: np.ndarray, k: int, j: int, losses: int) -> tuple[np.ndarray, int]:
+    """The keys of the last win before each word of a chunk and, last, of the chunk's last win; and the loss run it leaves open.
 
-    Bit i of a byte is coup i's win flag. The phase o is (last win before
-    the byte - the byte's first coup) mod j: the loss run open at the
-    byte's start pays at coups o, o + j, ... until the byte's first win,
-    and after a win at coup w at w + j, w + 2j, ... A phase of 8 or more
-    pays nowhere before the first win, so phases are capped at 8. Bit i of
-    an entry is set when coup i pays an award. Read-only.
+    One running maximum over the words' highest wins. A word's highest
+    win is the float exponent of its wins with no win directly above,
+    which rounds to no higher power of two; a word without wins is the
+    float 0.0, and its key clamps to 0. The carried run's last win,
+    -1 - losses, pays next at f = (-1 - losses) mod J, so its key is
+    _KEY - J + f: at least 0, below coup 0's, and of its residue mod J.
+    A J above _KEY pays in a chunk at most the carried run's award at f,
+    so its keys are taken mod min(J, _KEY), with f capped below that.
+    The keys are this thread's scratch, free for the caller to overwrite.
     """
-    coups = np.arange(8)
-    wins = (np.arange(256)[:, None] >> coups & 1).astype(bool)
-    # Last win at or before each coup of the byte, -1 before the first.
-    last = np.maximum.accumulate(np.where(wins, coups, -1), axis=1)
-    # Before its first win the byte continues a run whose last win sits at o - j.
-    phases = np.arange(9)[:, None, None]
-    last = np.where(last >= 0, last, phases - j)
-    awards = ~wins & ((coups - last) % j == 0)
-    table = np.packbits(awards, axis=-1, bitorder="little").ravel()
-    table.flags.writeable = False
-    return table
+    words = win.size
 
+    def buffers() -> tuple:
+        return (
+            _scratch_array(words, np.uint64, "tops"),
+            _scratch_array(words + 1, np.int64, "last_win"),
+            _scratch_array(words + 1, np.int64, "win_scan"),
+            # The key of each word's first coup, less 1023, the float exponent bias.
+            np.arange(_KEY - 1023, _KEY - 1023 + 64 * words, 64),
+        )
 
-def _byte_starts(size: int) -> np.ndarray:
-    """0, 8, 16, ...: the first coup of each of `size` bytes, this thread's copy."""
-    starts = getattr(_scratch, "byte_starts", None)
-    if starts is None or starts.size < size:
-        starts = np.arange(0, 8 * size, 8)
-        _scratch.byte_starts = starts
-    return starts[:size]
-
-
-def _byte_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
-    """_awards by bytes: each byte's award bits looked up by its phase.
-
-    A running maximum over each byte's highest win gives the last win
-    before every byte, and so its phase (_award_tables).
-    """
-    used = -(-k // 8)
-    win, out = win.view(np.uint8)[:used], out.view(np.uint8)
-    starts = _byte_starts(used)
-    last = _scratch_array(used + 1, np.intp, "last_win")
-    last[0] = -1 - losses
-    np.take(_HIGH_WIN, win, out=last[1:], mode="clip")
-    np.add(last[1:], starts, out=last[1:])
+    tops, last, scan, keys = _scratch_views("last_wins", (words,), buffers)
+    # The floats go in the scan's buffer, which the running maximum writes last.
+    lead, exponents = last[1:], scan[:-1]
+    np.right_shift(win, 1, out=tops)
+    np.bitwise_and(np.invert(tops, out=tops), win, out=tops)
+    np.copyto(exponents.view(np.float64), tops, casting="unsafe")
+    last[0] = _KEY - min(j, _KEY) + min((-1 - losses) % j, _KEY - 1)
+    np.add(np.right_shift(exponents, 52, out=lead), keys, out=lead)
+    np.minimum(lead, exponents, out=lead)
     # Into its own buffer: numpy holds the GIL through a scan written in place.
-    scan = _scratch_array(used + 1, np.intp, "scan")
     np.maximum.accumulate(last, out=scan)
-    keys = _scratch_array(used, np.intp, "keys")
-    np.subtract(scan[:-1], starts, out=keys)
-    # keys mod j: numpy's division by a scalar runs twice as fast as np.mod here.
-    quotient = np.floor_divide(keys, j, out=last[:-1])
-    keys -= np.multiply(quotient, j, out=quotient)
-    np.minimum(keys, 8, out=keys)
-    np.left_shift(keys, 8, out=keys)
-    np.add(keys, win, out=keys)
-    np.take(_award_tables(j), keys, out=out[:used], mode="clip")
-    return k - 1 - int(scan[-1])
-
-
-# _residue_tables' tables per J, each grown to the most words asked of it.
-_RESIDUE_TABLES: dict[int, tuple[np.ndarray, ...]] = {}
-
-
-def _residue_tables(j: int, words: int) -> tuple[np.ndarray, ...]:
-    """The residue pass's tables for `words` words at J = j. Read-only.
-
-    With M_r the coups c where c % j == r: `starts` holds M_1 .. M_{j-1},
-    `flips` holds M_r ^ M_{j-1} for r < j - 1, `base` is M_{j-1} ^ every
-    `flips` row, `keys` is 64 w + 64 j - 1023 for word w, and `rows`
-    numbers the rows 0 .. j - 2. The masks repeat every j / gcd(j, 64)
-    words, so one period is packed and tiled. One set per J serves every
-    chunk size, so a run's shorter last chunk adds no tables.
-    """
-    tables = _RESIDUE_TABLES.get(j)
-    if tables is None or tables[3].size < words:
-        period = j // np.gcd(j, 64)
-        one = np.packbits(np.arange(64 * period) % j == np.arange(j)[:, None], axis=-1, bitorder="little")
-        masks = np.tile(one.view(np.uint64), -(-words // period))[:, :words]
-        flips = masks[:-1] ^ masks[-1]
-        base = np.bitwise_xor.reduce(flips, axis=0) ^ masks[-1]
-        keys = np.arange(64 * j - 1023, 64 * (words + j) - 1023, 64)
-        tables = masks[1:].copy(), flips, base, keys, np.arange(j - 1)[:, None]
-        for array in tables:
-            array.flags.writeable = False
-        _RESIDUE_TABLES[j] = tables
-    if tables[3].size == words:
-        return tables
-    starts, flips, base, keys, rows = tables
-    return starts[:, :words], flips[:, :words], base[:words], keys[:words], rows
+    found = int(scan[-1]) - _KEY
+    return scan, k - 1 - found if found >= 0 else losses + k
 
 
 def _residue_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
@@ -460,43 +404,37 @@ def _residue_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarra
     < j - 1 marks the coup after each residue-r win, and adding the marks
     to the loss bits L carries through the runs they start, so row r of
     T = L + marks is 0 on residue r's runs and 1 on the other losses; the
-    runs of residue j - 1 are 1 in every row. A loss's award bit is then
-    base ^ (the XOR over r of flips_r & T_r) (_residue_tables). A carry
-    out of bit 63 is dropped: each word's lead run, its losses before its
-    first win, is marked at bit 0 in the row of the last win before the
-    word, found by one running maximum over the words' highest wins. A
-    word's highest win is the float exponent of its wins with no win
-    directly above, which rounds to no higher power of two.
+    runs of residue j - 1 are 1 in every row. With M_r the coups c where
+    c % j == r, a loss's award bit is then M_{j-1} ^ (the XOR over r of
+    (M_r ^ M_{j-1}) & T_r). A carry out of bit 63 is dropped: each word's
+    lead run, its losses before its first win, is marked at bit 0 in the
+    row of the last win before the word (_last_wins).
     """
     words = win.size
-    starts, flips, base, keys, rows = _residue_tables(j, words)
+    scan, run = _last_wins(win, k, j, losses)
 
     def buffers() -> tuple:
-        last = _scratch_array(words + 1, np.int64, "residue_last")
+        # The masks repeat every j / gcd(j, 64) words, so one period is packed and tiled.
+        period = j // np.gcd(j, 64)
+        one = np.packbits(np.arange(64 * period) % j == np.arange(j)[:, None], axis=-1, bitorder="little")
+        masks = np.tile(one.view(np.uint64), -(-words // period))[:, :words]
+        flips = masks[:-1] ^ masks[-1]
         return (
-            _scratch_array(words, np.uint64, "residue_tops"),
-            _scratch_array(words, float, "residue_floats"),
-            last,
-            last[1:],
-            _scratch_array(words + 1, np.int64, "residue_scan"),
+            masks[1:].copy(),
+            flips,
+            np.bitwise_xor.reduce(flips, axis=0) ^ masks[-1],
+            # The residues mod j of the keys of coups of residue 0 .. j - 2.
+            ((np.arange(j - 1) + _KEY) % j)[:, None],
+            _scratch_array(words, np.uint64, "tops"),
+            # The running maximum's input, free once it has run.
+            _scratch_array(words + 1, np.int64, "last_win")[1:],
             _scratch_array((j - 1) * words, np.uint64, "residue_runs").reshape(j - 1, words),
             _scratch_array((j - 1) * words, bool, "lead_marks").reshape(j - 1, words),
         )
 
-    tops, floats, last, lead, scan, runs, marks = _scratch_views("residue", (j, words), buffers)
+    starts, flips, base, rows, tops, lead, runs, marks = _scratch_views("residue", (j, words), buffers)
     # The loss bits, in `out` until the last step keeps their award coups.
     loss = np.invert(win, out=out)
-    np.right_shift(win, 1, out=tops)
-    np.bitwise_and(np.invert(tops, out=tops), win, out=tops)
-    np.copyto(floats, tops, casting="unsafe")
-    exponents = floats.view(np.int64)
-    # The carried run's last win, mod j, 64 j below the chunk's first coup.
-    last[0] = 64 * j - 1 - losses % j
-    np.add(np.right_shift(exponents, 52, out=lead), keys, out=lead)
-    # A word without wins is the float 0.0: its key drops to 0, below every win.
-    np.minimum(lead, exponents, out=lead)
-    # Into its own buffer: numpy holds the GIL through a scan written in place.
-    np.maximum.accumulate(last, out=scan)
     # scan mod j: numpy's division by a scalar runs faster than np.remainder here.
     np.subtract(scan[:-1], np.multiply(np.floor_divide(scan[:-1], j, out=lead), j, out=lead), out=lead)
     # A residue-r win's next coup is residue r + 1.
@@ -506,8 +444,70 @@ def _residue_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarra
     np.bitwise_and(runs, flips, out=runs)
     np.bitwise_xor(np.bitwise_xor.reduce(runs, axis=0, out=tops), base, out=tops)
     np.bitwise_and(loss, tops, out=loss)
-    found = int(scan[-1]) - 64 * j
-    return k - 1 - found if found >= 0 else losses + k
+    return run
+
+
+@functools.lru_cache(maxsize=16)
+def _lead_table(j: int) -> np.ndarray:
+    """Award bits of a word's lead run by offset: entry o = 0 .. 64 sets bits o, o + j, ... below 64. Read-only."""
+    bits, offsets = np.arange(64), np.arange(65)[:, None]
+    pays = (bits >= offsets) & ((bits - offsets) % j == 0)
+    table = np.packbits(pays, axis=-1, bitorder="little").view(np.uint64).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _word_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
+    """_awards word by word, in the same few passes at every J.
+
+    A word's lead run, its losses before its first win, is ~w & (w - 1).
+    It continues the run of the last win before the word (_last_wins),
+    so it pays at offsets o, o + j, ... with o = (that win - the word's
+    first coup) mod j, read from _lead_table by min(o, 64). A run that a
+    win inside the word starts pays at coup t when coup t - j is a win or
+    an award and the j coups up to t are losses (R): from g = (w << j) &
+    R, a Kogge-Stone scan g |= P & (g << s), P &= P << s, with P = R at
+    s = j, doubling s while a run from s + j coups back fits in the word;
+    from J = 64 on none fits.
+    """
+    words = win.size
+    scan, run = _last_wins(win, k, j, losses)
+
+    def buffers() -> tuple:
+        return (
+            # The key of each word's first coup.
+            np.arange(_KEY, _KEY + 64 * words, 64),
+            # The running maximum's input, free once it has run.
+            _scratch_array(words + 1, np.int64, "last_win")[1:],
+            *(_scratch_array(words, np.uint64, name) for name in ("word_loss", "tops", "word_reach", "word_runs")),
+        )
+
+    starts, quotients, loss, temp, reach, runs = _scratch_views("word", (words,), buffers)
+    bound = min(j, _KEY)
+    offsets = np.subtract(scan[:-1], starts, out=scan[:-1])
+    # offsets mod min(j, _KEY) (_last_wins): numpy's division by a scalar runs faster than np.remainder here.
+    np.subtract(offsets, np.multiply(np.floor_divide(offsets, bound, out=quotients), bound, out=quotients), out=offsets)
+    # Clipped, every offset from 64 on reads the table's last entry.
+    np.take(_lead_table(j), offsets, out=out, mode="clip")
+    np.invert(win, out=loss)
+    np.bitwise_and(out, np.bitwise_and(loss, np.subtract(win, 1, out=temp), out=temp), out=out)
+    if j < 64:
+        # R, the coups that close j losses in a row: a window of `span` losses
+        # and one `step` <= span coups before it make one of span + step.
+        np.bitwise_and(loss, np.left_shift(loss, 1, out=temp), out=reach)
+        span = 2
+        while span < j:
+            step = min(span, j - span)
+            np.bitwise_and(reach, np.left_shift(reach, step, out=temp), out=reach)
+            span += step
+        np.bitwise_and(np.left_shift(win, j, out=runs), reach, out=runs)
+        shift = j
+        while shift + j < 64:
+            np.bitwise_or(runs, np.bitwise_and(reach, np.left_shift(runs, shift, out=temp), out=temp), out=runs)
+            np.bitwise_and(reach, np.left_shift(reach, shift, out=temp), out=reach)
+            shift *= 2
+        np.bitwise_or(out, runs, out=out)
+    return run
 
 
 def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
@@ -518,10 +518,10 @@ def _awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> in
     `losses` coups, whose last win is the virtual coup -1 - losses. Award
     bits from k on are left for the caller to clear. Nothing is counted
     twice across chunks: the carried run's earlier awards are in earlier
-    chunks. J up to _RESIDUE_J takes the residue pass, larger J the byte
+    chunks. J up to _RESIDUE_J takes the residue pass, larger J the word
     pass.
     """
-    return (_residue_awards if j <= _RESIDUE_J else _byte_awards)(win, k, j, losses, out)
+    return (_residue_awards if j <= _RESIDUE_J else _word_awards)(win, k, j, losses, out)
 
 
 @dataclass
@@ -596,31 +596,16 @@ def _pattern_chunks(layout: _Layout, segment: _Segment, seed: int, j: int) -> It
         yield k, words[:, :used]
 
 
-def _sums_before(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """values[..., :e].sum(axis=-1) for each end e of the nondecreasing `ends`, 1 <= e <= values.shape[-1].
-
-    A sum per segment between ends, then a running sum over the segments,
-    in int64 for any integer dtype of `values`. reduceat gives an empty
-    segment its first element, so those are zeroed.
-    """
-    starts = np.concatenate(([0], ends[:-1]))
-    # Segments that start at the last end are empty; reduceat takes no index that far.
-    inside = np.searchsorted(starts, ends[-1])
-    segments = np.zeros((*values.shape[:-1], ends.size), np.int64)
-    segments[..., :inside] = np.add.reduceat(values[..., : ends[-1]], starts[:inside], axis=-1, dtype=np.int64)
-    segments[..., starts == ends] = 0
-    return np.cumsum(segments, axis=-1, out=segments)
-
-
 def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, start: int = 0) -> np.ndarray:
     """Bit counts of a run's rows at coups stride, 2*stride, ... (none without a stride), then at its end.
 
     Returns one int64 row per mark and a last row at the end: the coups
-    played, then the count of each bit row's set bits up to that coup. A
-    mark's count is the chunks before its own, plus the words before its
-    word (_sums_before of the per-word counts), plus its word's bits up to
-    its coup. The chunks start at coup `start` of the run, which places
-    the marks and the first column.
+    played, then the count of each bit row's set bits up to that coup. In
+    a chunk with marks, a running sum over one reduceat of the per-word
+    counts at the marks' words gives the words before each mark's word and
+    the chunk's total; a mark adds the chunks before and its word's bits
+    up to its coup. The chunks start at coup `start` of the run, which
+    places the marks and the first column.
     """
     end, values = None, []
     for k, words in chunks:
@@ -628,16 +613,22 @@ def _tally(chunks: Iterable[tuple[int, np.ndarray]], stride: int | None = None, 
         if end is None:
             end = np.zeros((1, 1 + words.shape[0]), np.int64)
             totals = end[0, 1:]
-        if stride is not None:
-            marks = np.arange(stride - 1 - start % stride, k, stride)
-            if marks.size:
-                at = marks >> 6
-                partial = words[:, at] & _LOW_BITS[marks & 63]
-                counted = np.bitwise_count(partial).astype(np.int64)
-                counted += _sums_before(counts, at + 1) - counts[:, at] + totals[:, None]
-                values.append(np.vstack([start + 1 + marks, counted]).T)
-        # A chunk row holds fewer than 2**32 bits, and uint32 sums run faster than int64 ones.
-        totals += np.add.reduce(counts, axis=1, dtype=np.uint32)
+        marks = np.arange(stride - 1 - start % stride, k, stride) if stride is not None else ()
+        if len(marks):
+            cuts = np.concatenate(([0], marks >> 6))
+            sums = np.add.reduceat(counts, cuts, axis=1, dtype=np.int64)
+            # reduceat gives a repeated cut's empty segment its first element.
+            sums[:, np.flatnonzero(cuts[:-1] == cuts[1:])] = 0
+            sums[:, 0] += totals
+            rows = np.empty((marks.size + 1, 1 + words.shape[0]), np.int64)
+            np.cumsum(sums, axis=1, out=rows[:, 1:].T)
+            rows[:-1, 1:] += np.bitwise_count(words[:, cuts[1:]] & _LOW_BITS[marks & 63]).T
+            rows[:-1, 0] = start + 1 + marks
+            values.append(rows[:-1])
+            totals[:] = rows[-1, 1:]
+        else:
+            # A chunk row holds fewer than 2**32 bits, and uint32 sums run faster than int64 ones.
+            totals += np.add.reduce(counts, axis=1, dtype=np.uint32)
         start += k
     end[0, 0] = start
     return np.concatenate([*values, end]) if values else end

@@ -361,15 +361,18 @@ def streak_walk(win, j, losses):
 def award_chunk(win, j, losses):
     """The bit rows _pattern_chunks yields for a win mask: its award bits alone, and the loss run left open.
 
-    Plays the win mask through _awards, and through each award pass
-    defined at this J, which must agree bit for bit. Award bits start as
-    garbage, so every bit the passes leave is their own, and bits from
-    the mask's end on are cleared, as _pattern_chunks does.
+    Plays the win mask through _awards, through the word pass, and through
+    the residue pass up to J = 64 (its scratch grows with J), which must
+    agree bit for bit. Win bits from the mask's end on are clear: the
+    passes may leave different open runs for them, which nothing reads.
+    Award bits start as garbage, so every bit the passes leave is their
+    own, and bits from the mask's end on are cleared, as _pattern_chunks
+    does.
     """
     size = -(-win.size // 64)
     packed = np.zeros(8 * size, np.uint8)
     packed[: -(-win.size // 8)] = np.packbits(win, bitorder="little")
-    passes = [simulate._awards, simulate._byte_awards, simulate._residue_awards]
+    passes = [simulate._awards, simulate._word_awards] + [simulate._residue_awards] * (j <= 64)
     played = []
     for award_pass in passes:
         words = np.full((1, size), 0xA5A5A5A5A5A5A5A5, np.uint64)
@@ -412,14 +415,14 @@ def assert_awards_match_walk(win, j, losses):
 
 
 class TestByteReduction:
-    """The award bits of the residue and byte passes against a literal streak walk."""
+    """The award bits of the residue and word passes against a literal streak walk."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 3000),
         st.floats(0.0, 1.0),
         st.integers(0, 2**32 - 1),
-        st.integers(2, 20),
+        st.one_of(st.integers(2, 130), st.integers(2, 2**62)),
         st.integers(0, 50),
     )
     @example(size=2999, p=0.3, seed=11, j=2, losses=7)
@@ -438,6 +441,20 @@ class TestByteReduction:
     @example(size=700, p=0.02, seed=17, j=7, losses=2**40)
     # One coup into the last word.
     @example(size=2945, p=0.4, seed=19, j=6, losses=9)
+    # The word pass's scan takes two steps at J = 20, one up to J = 31 and
+    # none from J = 32; from J = 64 only lead runs pay, at most once a word.
+    @example(size=3000, p=0.05, seed=22, j=20, losses=0)
+    @example(size=3000, p=0.03, seed=23, j=31, losses=63)
+    @example(size=3000, p=0.03, seed=24, j=32, losses=2**40)
+    # A word opening with a win and 63 losses: its one in-word award at J = 63.
+    @example(size=3000, p=0.02, seed=26, j=63, losses=0)
+    @example(size=3000, p=0.02, seed=25, j=64, losses=63)
+    @example(size=3000, p=0.02, seed=27, j=65, losses=2**40)
+    @example(size=3000, p=0.002, seed=28, j=2**62, losses=0)
+    @example(size=3000, p=0.002, seed=29, j=2**62, losses=63)
+    @example(size=3000, p=0.002, seed=30, j=2**62, losses=2**40)
+    # A carried run near 2**62 that pays on the chunk's fifth coup.
+    @example(size=700, p=0.0, seed=31, j=2**62, losses=2**62 - 5)
     def test_matches_streak_walk(self, size, p, seed, j, losses):
         win = np.random.default_rng(seed).random(size) < p
         assert_awards_match_walk(win, j, losses)
@@ -451,15 +468,13 @@ class TestByteReduction:
         for losses in (0, 1, j - 1, j, 2**33 + 1):
             assert_awards_match_walk(win, j, losses)
 
-    def test_tables(self):
-        for j in (2, 8, 9, 20):
-            table = simulate._award_tables(j)
-            assert table.shape == (9 * 256,) and table.dtype == np.uint8 and not table.flags.writeable
-            assert simulate._award_tables(j) is table
-            # A win pays no award.
-            assert not (table & np.tile(np.arange(256, dtype=np.uint8), 9)).any()
-        # Phase 0 pays at coups 0, j, 2j, ... of an all-loss byte.
-        assert simulate._award_tables(3)[0] == 0b01001001
+    def test_lead_table(self):
+        for j in (2, 3, 20, 63, 64, 2**62):
+            table = simulate._lead_table(j)
+            assert table.shape == (65,) and table.dtype == np.uint64 and not table.flags.writeable
+            assert simulate._lead_table(j) is table
+            # Entry o pays at bits o, o + j, ... of the word; entry 64 nowhere.
+            assert table.tolist() == [sum(1 << bit for bit in range(o, 64, j)) for o in range(65)]
 
     def test_popcount(self):
         # Bit rows of three chunks, zero from each chunk's k on; strides put
@@ -873,21 +888,6 @@ def test_layout_reuses_cached_arm_data(monkeypatch):
 
     monkeypatch.setattr(simulate, "_arm_regions", rebuilt)
     assert simulate_once(spec, 50_000, 3) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.integers(0, 8), min_size=1, max_size=200),
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
-)
-def test_sums_before(values, cuts):
-    """Running totals at nondecreasing ends, ties, empty segments and the last value included."""
-    values = np.array(values, np.intp)
-    ends = np.sort(np.ceil(np.array(cuts) * values.size).clip(1, values.size).astype(np.intp))
-    expected = [int(values[:end].sum()) for end in ends]
-    assert simulate._sums_before(values, ends).tolist() == expected
-    # Rows are summed alike, each on its own.
-    assert simulate._sums_before(np.stack([values, 2 * values]), ends).tolist() == [expected, [2 * e for e in expected]]
 
 
 def assert_statistically_close(grand_mean, oracle, standard_error, context):
