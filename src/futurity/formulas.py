@@ -87,15 +87,6 @@ def fair_payout(p: float) -> float:
     return (3.0 - 2.0 * p) / (2.0 - p)
 
 
-def single_arm_futurity_rate(p: float) -> float:
-    """Per-coup probability of a futurity award when one arm is played alone.
-
-    Equals q^2/(1 + q) with q = 1 - p: the stationary chance that the current
-    coup completes a pair of consecutive losses. Lies in (0, 1/2).
-    """
-    return _award_rate([_check_probability("p", p)], 2)
-
-
 def b_sequence(blocks: BlockVector, probs: ArmProbabilities) -> tuple[float, ...]:
     """Signed loss-run weights of a block vector, one period (2h entries).
 
@@ -179,15 +170,6 @@ def exact_profit(strategy: Strategy, probs: ArmProbabilities) -> ProfitReport:
     )
 
 
-def ars_profit(r: int, s: int, probs: ArmProbabilities) -> float:
-    """Profit of the single-block pattern A^r B^s.
-
-    Special case 2*S*(1 - (-q_a)^r)*(1 - (-q_b)^s), equal to exact_profit of
-    the same pattern; each run factor is a _period_gap of that run alone.
-    """
-    return 2.0 * s_factor(r, s, probs) * _period_gap(r, 0, probs) * _period_gap(0, s, probs)
-
-
 def _lap_gap(p_seq, laps: int) -> float:
     """1 - G^laps, G = prod(1 - p); -expm1(laps * sum(log1p(-p))), or 1 if some p is 1."""
     return 1.0 if 1.0 in p_seq else -math.expm1(laps * sum(math.log1p(-p) for p in p_seq))
@@ -241,15 +223,16 @@ def profit_via_rates(strategy: Strategy, probs: ArmProbabilities) -> float:
 
         2 * ( (r/n) * rate_A + (s/n) * rate_B - rate_pattern )
 
-    The two expressions share no code path beyond input validation. This one
+    where an arm played alone has rate q^2/(1 + q), q = 1 - p. The two
+    expressions share no code path beyond input validation. This one
     differences O(1) rates, so its relative error grows as the profit
     shrinks: AB is 1.4e-8 relative off exact_profit at (p_a, p_b) =
     (1e-7, 2e-7) and 8.1e-7 at (1e-9, 3e-9).
     """
     n = strategy.n
     weighted = (
-        strategy.r * single_arm_futurity_rate(probs.p_a)
-        + strategy.s * single_arm_futurity_rate(probs.p_b)
+        strategy.r * _award_rate([probs.p_a], 2)
+        + strategy.s * _award_rate([probs.p_b], 2)
     ) / n
     return 2.0 * (weighted - futurity_rate_strategy(strategy, probs))
 

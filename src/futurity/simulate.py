@@ -186,12 +186,18 @@ class Ledger:
     """Exact coin accounting of one simulated run."""
 
     coups_played: int
-    stakes_collected: float
     win_payouts: float
-    futurity_refunds: float
     futurity_events: int
     win_count: int
     j: int
+
+    @property
+    def stakes_collected(self) -> float:
+        return float(self.coups_played)
+
+    @property
+    def futurity_refunds(self) -> float:
+        return float(self.j * self.futurity_events)
 
     @property
     def casino_profit_total(self) -> float:
@@ -200,6 +206,11 @@ class Ledger:
     @property
     def mean_profit(self) -> float:
         return self.casino_profit_total / self.coups_played
+
+    def __repr__(self) -> str:
+        # The derived stakes and refunds print too, in their old place: tests/test_golden.py hashes the repr.
+        names = ("coups_played", "stakes_collected", "win_payouts", "futurity_refunds", "futurity_events", "win_count", "j")
+        return f"Ledger({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
 
 
 @dataclass(frozen=True)
@@ -358,6 +369,14 @@ _RESIDUE_J = 6
 _KEY = 1 << 61
 
 
+@functools.lru_cache(maxsize=16)
+def _word_keys(words: int, less: int = 0) -> np.ndarray:
+    """The key of each word's first coup in a chunk of `words` words, less `less`. Read-only."""
+    keys = np.arange(_KEY - less, _KEY - less + 64 * words, 64)
+    keys.flags.writeable = False
+    return keys
+
+
 def _last_wins(win: np.ndarray, k: int, j: int, losses: int) -> tuple[np.ndarray, int]:
     """The keys of the last win before each word of a chunk and, last, of the chunk's last win; and the loss run it leaves open.
 
@@ -378,8 +397,8 @@ def _last_wins(win: np.ndarray, k: int, j: int, losses: int) -> tuple[np.ndarray
             _scratch_array(words, np.uint64, "tops"),
             _scratch_array(words + 1, np.int64, "last_win"),
             _scratch_array(words + 1, np.int64, "win_scan"),
-            # The key of each word's first coup, less 1023, the float exponent bias.
-            np.arange(_KEY - 1023, _KEY - 1023 + 64 * words, 64),
+            # Less 1023, the float exponent bias.
+            _word_keys(words, 1023),
         )
 
     tops, last, scan, keys = _scratch_views("last_wins", (words,), buffers)
@@ -395,6 +414,26 @@ def _last_wins(win: np.ndarray, k: int, j: int, losses: int) -> tuple[np.ndarray
     np.maximum.accumulate(last, out=scan)
     found = int(scan[-1]) - _KEY
     return scan, k - 1 - found if found >= 0 else losses + k
+
+
+@functools.lru_cache(maxsize=16)
+def _residue_tables(j: int, words: int) -> tuple[np.ndarray, ...]:
+    """_residue_awards' masks over `words` words: M_1 .. M_{j-1}, M_r ^ M_{j-1} for r < j - 1, their XOR with M_{j-1}, and the key residues. Read-only."""
+    # The masks repeat every j / gcd(j, 64) words, so one period is packed and tiled.
+    period = j // np.gcd(j, 64)
+    one = np.packbits(np.arange(64 * period) % j == np.arange(j)[:, None], axis=-1, bitorder="little")
+    masks = np.tile(one.view(np.uint64), -(-words // period))[:, :words]
+    flips = masks[:-1] ^ masks[-1]
+    tables = (
+        masks[1:].copy(),
+        flips,
+        np.bitwise_xor.reduce(flips, axis=0) ^ masks[-1],
+        # The residues mod j of the keys of coups of residue 0 .. j - 2.
+        ((np.arange(j - 1) + _KEY) % j)[:, None],
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _residue_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) -> int:
@@ -414,17 +453,8 @@ def _residue_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarra
     scan, run = _last_wins(win, k, j, losses)
 
     def buffers() -> tuple:
-        # The masks repeat every j / gcd(j, 64) words, so one period is packed and tiled.
-        period = j // np.gcd(j, 64)
-        one = np.packbits(np.arange(64 * period) % j == np.arange(j)[:, None], axis=-1, bitorder="little")
-        masks = np.tile(one.view(np.uint64), -(-words // period))[:, :words]
-        flips = masks[:-1] ^ masks[-1]
         return (
-            masks[1:].copy(),
-            flips,
-            np.bitwise_xor.reduce(flips, axis=0) ^ masks[-1],
-            # The residues mod j of the keys of coups of residue 0 .. j - 2.
-            ((np.arange(j - 1) + _KEY) % j)[:, None],
+            *_residue_tables(j, words),
             _scratch_array(words, np.uint64, "tops"),
             # The running maximum's input, free once it has run.
             _scratch_array(words + 1, np.int64, "last_win")[1:],
@@ -475,8 +505,7 @@ def _word_awards(win: np.ndarray, k: int, j: int, losses: int, out: np.ndarray) 
 
     def buffers() -> tuple:
         return (
-            # The key of each word's first coup.
-            np.arange(_KEY, _KEY + 64 * words, 64),
+            _word_keys(words),
             # The running maximum's input, free once it has run.
             _scratch_array(words + 1, np.int64, "last_win")[1:],
             *(_scratch_array(words, np.uint64, name) for name in ("word_loss", "tops", "word_reach", "word_runs")),
@@ -703,15 +732,7 @@ def _run(
 def _ledger(spec: ChainSpec, coups: int, seed: int) -> Ledger:
     tallies, (wins, paid) = _run(spec, coups, seed)
     events = int(tallies[0, 1])
-    return Ledger(
-        coups_played=coups,
-        stakes_collected=float(coups),
-        win_payouts=float(paid[0]),
-        futurity_refunds=float(spec.j * events),
-        futurity_events=events,
-        win_count=int(wins[0]),
-        j=spec.j,
-    )
+    return Ledger(coups_played=coups, win_payouts=float(paid[0]), futurity_events=events, win_count=int(wins[0]), j=spec.j)
 
 
 def simulate_once(spec: ChainSpec, coups: int, seed: int) -> Ledger:
@@ -741,22 +762,6 @@ def cumulative_trajectory(spec: ChainSpec, coups: int, seed: int, stride: int) -
         )
     tallies, (_, paid) = _run(spec, coups, seed, stride)
     return np.column_stack([tallies[:, 0], (tallies[:, 0] - paid) - spec.j * tallies[:, 1]])
-
-
-def simulate_mixture_once(
-    gamma: float,
-    probs: ArmProbabilities,
-    coups: int,
-    seed: int,
-    j: int = 2,
-) -> Ledger:
-    """Play with i.i.d. arm choice: A with probability gamma, both arms fair.
-
-    The run is mixture_chain's one-position pattern, one word per coup.
-    """
-    spec = mixture_chain(gamma, probs, j)
-    _check_count("coups", coups)
-    return _ledger(spec, coups, seed)
 
 
 def _run_replications(run_one, config: SimConfig, workers: int) -> SimResult:

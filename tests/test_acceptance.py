@@ -32,10 +32,10 @@ from futurity import (
     rotate,
     simulate_once,
     single_arm_chain,
-    single_arm_futurity_rate,
     swap_last_runs,
 )
 from futurity.cli import main as cli_main
+from futurity.formulas import _award_rate
 from futurity.machines import MILLS_MODE_E_PROBS, MILLS_MODE_O_PROBS, MILLS_REWARDS
 from futurity.strategy import BlockVector, Strategy
 
@@ -66,10 +66,7 @@ def test_criterion_1_three_route_agreement():
         start = time.perf_counter()
         grid = [ArmProbabilities(a, b) for a in PROB_GRID for b in PROB_GRID]
         single_rates = {
-            probs: (
-                single_arm_futurity_rate(probs.p_a),
-                single_arm_futurity_rate(probs.p_b),
-            )
+            probs: (_award_rate([probs.p_a], 2), _award_rate([probs.p_b], 2))
             for probs in grid
         }
         patterns = 0

@@ -12,7 +12,6 @@ from futurity import (
     BlockCountTooSmall,
     BlockVector,
     DomainError,
-    ars_profit,
     b_sequence,
     block_swap_delta,
     block_vector,
@@ -30,9 +29,9 @@ from futurity import (
     random_mix_profit,
     rotate,
     s_factor,
-    single_arm_futurity_rate,
     swap_last_runs,
 )
+from futurity.formulas import _award_rate
 
 PROBS = ArmProbabilities(0.3, 0.7)
 
@@ -156,6 +155,19 @@ def rational_rate(strategy, probs):
             if step % 2 == 0:
                 total += p_seq[j] * window
     return total / (n * (1 - math.prod(q_seq) ** 2))
+
+
+def ars_profit(r, s, probs):
+    """Profit of the single-block pattern A^r B^s: 2*S*(1 - (-q_a)^r)*(1 - (-q_b)^s).
+
+    A run factor 1 - (-q)^k is 1 + q^k for odd k and -expm1(k * log1p(-p))
+    for even k, where 1 - q^k would cancel as p nears 0.
+    """
+
+    def run_gap(k, p):
+        return 1.0 + (1.0 - p) ** k if k % 2 else -math.expm1(k * math.log1p(-p))
+
+    return 2.0 * s_factor(r, s, probs) * run_gap(r, probs.p_a) * run_gap(s, probs.p_b)
 
 
 def relative_error(value, exact):
@@ -309,13 +321,13 @@ class TestArsProfit:
 
 class TestSingleArmQuantities:
     def test_futurity_rate_values(self):
-        assert single_arm_futurity_rate(0.5) == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert single_arm_futurity_rate(0.3) == pytest.approx(0.49 / 1.7, rel=1e-15)
-        assert single_arm_futurity_rate(0.7) == pytest.approx(0.09 / 1.3, rel=1e-15)
+        assert _award_rate([0.5], 2) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert _award_rate([0.3], 2) == pytest.approx(0.49 / 1.7, rel=1e-15)
+        assert _award_rate([0.7], 2) == pytest.approx(0.09 / 1.3, rel=1e-15)
 
     def test_rate_range(self):
         for k in range(1, 100):
-            rate = single_arm_futurity_rate(k / 100)
+            rate = _award_rate([k / 100], 2)
             assert 0.0 < rate < 0.5
 
     def test_fair_payout_values(self):
@@ -326,7 +338,7 @@ class TestSingleArmQuantities:
         # p*u + 2*rate = 1: a fair arm returns the stake exactly
         for k in range(1, 1000):
             p = k / 1000
-            residual = p * fair_payout(p) + 2.0 * single_arm_futurity_rate(p) - 1.0
+            residual = p * fair_payout(p) + 2.0 * _award_rate([p], 2) - 1.0
             assert abs(residual) <= 1e-12
 
     def test_payout_range(self):
@@ -334,7 +346,8 @@ class TestSingleArmQuantities:
             assert 1.0 < fair_payout(k / 100) < 1.5
 
     def test_domain(self):
-        for fn in (fair_payout, single_arm_futurity_rate):
+        # An arm's p reaches the rate route's single-arm rates only through ArmProbabilities.
+        for fn in (fair_payout, lambda p: ArmProbabilities(p, 0.5)):
             with pytest.raises(DomainError):
                 fn(0.0)
             with pytest.raises(DomainError):
@@ -356,7 +369,7 @@ class TestFuturityRateStrategy:
         for p in grid():
             probs = ArmProbabilities(p, p)
             rate = futurity_rate_strategy(parse_strategy("AB"), probs)
-            assert rate == pytest.approx(single_arm_futurity_rate(p), abs=1e-14)
+            assert rate == pytest.approx(_award_rate([p], 2), abs=1e-14)
 
     def test_matches_chain_oracle(self):
         rng = random.Random(23)

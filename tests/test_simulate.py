@@ -28,7 +28,6 @@ from futurity import (
     random_mix_profit,
     replicate,
     replicate_mixture,
-    simulate_mixture_once,
     simulate_once,
     single_arm_chain,
 )
@@ -321,7 +320,7 @@ class TestChunkBoundaries:
         wins, payouts, awards, _ = scalar_reference(mixture_chain(gamma, self.LOW, j), coups, seed)
         for chunk in (simulate.CHUNK, self.CHUNK):
             monkeypatch.setattr(simulate, "CHUNK", chunk)
-            ledger = simulate_mixture_once(gamma, self.LOW, coups, seed, j=j)
+            ledger = simulate_once(mixture_chain(gamma, self.LOW, j), coups, seed)
             assert (ledger.win_count, ledger.futurity_events) == (wins, awards)
             assert ledger.win_payouts == pytest.approx(payouts, rel=1e-12)
 
@@ -932,9 +931,19 @@ class TestStatisticalAgreement:
 
 class TestMixtureSim:
     def test_deterministic(self):
-        a = simulate_mixture_once(0.4, PROBS, 2000, 11)
-        b = simulate_mixture_once(0.4, PROBS, 2000, 11)
+        a = simulate_once(mixture_chain(0.4, PROBS), 2000, 11)
+        b = simulate_once(mixture_chain(0.4, PROBS), 2000, 11)
         assert a == b
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_replicate_mixture_plays_its_chain(self, j):
+        # replicate_mixture is replicate of mixture_chain's pattern, byte for byte, on any worker count.
+        config = SimConfig(coups=3000, replications=24, master_seed=41)
+        spec = mixture_chain(0.4, PROBS, j)
+        expected = replicate(spec, config, workers=1).rep_means.tobytes()
+        assert replicate(spec, config, workers=2).rep_means.tobytes() == expected
+        for workers in (1, 2):
+            assert replicate_mixture(0.4, PROBS, config, workers=workers, j=j).rep_means.tobytes() == expected
 
     def test_gamma_extremes_play_one_arm(self):
         # gamma=1 plays arm A only, which is fair: profit near 0
@@ -951,17 +960,17 @@ class TestMixtureSim:
     def test_domain(self):
         for gamma in (-0.1, 1.1, float("nan")):
             with pytest.raises(DomainError):
-                simulate_mixture_once(gamma, PROBS, 100, 1)
+                simulate_once(mixture_chain(gamma, PROBS), 100, 1)
 
     def test_threshold_domain(self):
         config = SimConfig(coups=100, replications=4, master_seed=1)
         for j in (0, 1, 2.5, -3, float("nan")):
             with pytest.raises(DomainError, match="threshold"):
-                simulate_mixture_once(0.5, PROBS, 100, 1, j=j)
+                simulate_once(mixture_chain(0.5, PROBS, j), 100, 1)
             with pytest.raises(DomainError, match="threshold"):
                 replicate_mixture(0.5, PROBS, config, workers=2, j=j)
         # an integral float is the integer threshold, as in ChainSpec
-        assert simulate_mixture_once(0.5, PROBS, 100, 1, j=3.0) == simulate_mixture_once(0.5, PROBS, 100, 1, j=3)
+        assert simulate_once(mixture_chain(0.5, PROBS, 3.0), 100, 1) == simulate_once(mixture_chain(0.5, PROBS, 3), 100, 1)
 
 
 class TestConfigValidation:
@@ -1037,7 +1046,7 @@ class TestConfigValidation:
             with pytest.raises(DomainError, match="seed"):
                 cumulative_trajectory(spec, 100, seed, stride=10)
             with pytest.raises(DomainError, match="seed"):
-                simulate_mixture_once(0.5, PROBS, 100, seed)
+                simulate_once(mixture_chain(0.5, PROBS), 100, seed)
         # numpy integers are normalised, so seed derivation stays in Python ints
         config = SimConfig(master_seed=np.int64(2**62))
         assert type(config.master_seed) is int
